@@ -16,8 +16,11 @@ repro.engine.parallel).
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+from repro.campaign import SWEEPS, run_points, sweep_points
 from repro.engine.config import NetworkConfig
 from repro.experiments.common import preset_by_name, quicken
 
@@ -55,3 +58,21 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+def run_grid_once(benchmark, sweep, base, axes, jobs=1):
+    """Run one sweep family's grid exactly once under the benchmark
+    timer, through the campaign layer as the runner does; returns the
+    outcomes in grid order."""
+    module = importlib.import_module(SWEEPS[sweep])
+    points = sweep_points(base, module.campaign_entries(base, axes))
+    return run_once(benchmark, run_points, points, jobs=jobs)
+
+
+def by_variant(outcomes):
+    """Variant -> results in grid order, from a single-seed sweep's
+    outcomes (keys ``(seed, variant, axis value)``)."""
+    grouped = {}
+    for outcome in outcomes:
+        grouped.setdefault(outcome.key[1], []).append(outcome.value)
+    return grouped

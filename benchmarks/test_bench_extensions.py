@@ -7,8 +7,7 @@
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.experiments.fattree_exp import run_fattree_reliability
+from benchmarks.conftest import by_variant, run_grid_once, run_once
 from repro.experiments.occupancy import run_occupancy_census
 
 
@@ -30,19 +29,19 @@ def test_occupancy_census_confirms_table1_dynamically(benchmark, quick_base):
 
 @pytest.mark.benchmark(group="extensions")
 def test_fattree_reliability_tracks_baseline(benchmark, quick_base):
-    results = run_once(
-        benchmark, run_fattree_reliability, quick_base, (0.3, 0.6),
-        ("baseline", "stash100", "stash25"),
-    )
+    results = by_variant(run_grid_once(
+        benchmark, "fattree", quick_base,
+        {"loads": (0.3, 0.6), "variants": ("baseline", "stash100", "stash25")},
+    ))
     base = results["baseline"]
     full = results["stash100"]
     quarter = results["stash25"]
     # full-capacity stashing is performance neutral on the fat-tree too
-    for (o1, a1, _), (o2, a2, _) in zip(base, full):
-        assert a2 >= a1 * 0.95
+    for r1, r2 in zip(base, full):
+        assert r2.accepted_load >= r1.accepted_load * 0.95
     # the capacity restriction is what bites, same as the dragonfly
-    assert quarter[-1][1] <= full[-1][1] + 0.01
+    assert quarter[-1].accepted_load <= full[-1].accepted_load + 0.01
     benchmark.extra_info["accepted"] = {
-        v: [round(a, 3) for _, a, _ in series]
+        v: [round(r.accepted_load, 3) for r in series]
         for v, series in results.items()
     }

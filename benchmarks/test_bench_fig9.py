@@ -8,19 +8,20 @@ catches very long bursts).
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.experiments.fig9 import run_fig9
+from benchmarks.conftest import run_grid_once
+from repro.experiments.fig9 import victim_series
 
 BURSTS = (4, 16, 64)
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_burst_sweep(benchmark, quick_base, jobs):
-    results = run_once(
-        benchmark, run_fig9, quick_base, BURSTS,
-        ("baseline", "stash100"), 0.4,
+    results = victim_series(run_grid_once(
+        benchmark, "fig9", quick_base,
+        {"bursts_pkts": BURSTS, "variants": ("baseline", "stash100"),
+         "victim_rate": 0.4},
         jobs=jobs,
-    )
+    ))
 
     base = results["baseline"]
     stash = results["stash100"]

@@ -19,6 +19,7 @@ from repro.campaign.spec import (
     load_campaign,
     parse_campaign_text,
     shard_points,
+    sweep_points,
 )
 from repro.campaign.store import (
     CorruptEntryError,
@@ -26,7 +27,7 @@ from repro.campaign.store import (
     ResultStore,
     merge_stores,
 )
-from repro.campaign.service import CampaignRunSummary, run_campaign
+from repro.campaign.service import CampaignRunSummary, run_campaign, run_points
 
 __all__ = [
     "Campaign",
@@ -43,5 +44,7 @@ __all__ = [
     "merge_stores",
     "parse_campaign_text",
     "run_campaign",
+    "run_points",
     "shard_points",
+    "sweep_points",
 ]

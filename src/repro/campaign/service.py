@@ -1,6 +1,10 @@
 """The campaign executor: cached, batched, sharded, resumable.
 
-:func:`run_campaign` is the "experiment service" loop.  Given a
+:func:`run_points` runs seeded sweep points through the ``--jobs``
+executor; it is the one way any sweep is run, by the
+``repro-experiments`` runner, the ablations and the tests as much as by
+campaigns.  :func:`run_campaign` is the "experiment service" loop
+around it.  Given a
 :class:`~repro.campaign.spec.Campaign` and a
 :class:`~repro.campaign.store.ResultStore`, it
 
@@ -26,7 +30,7 @@ is byte-identical to the store a single uninterrupted run writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.campaign.spec import (
     Campaign,
@@ -35,13 +39,51 @@ from repro.campaign.spec import (
     shard_points,
 )
 from repro.campaign.store import CorruptEntryError, ResultStore
-from repro.engine.base import EngineResult
-from repro.engine.parallel import RunOutcome, run_specs
+from repro.engine.base import EngineResult, get_engine
+from repro.engine.parallel import RunOutcome, RunSpec, Timed, run_specs
 from repro.obs.counters import CounterRegistry
+from repro.scenario import ScenarioSpec
 
-__all__ = ["CampaignRunSummary", "point_meta", "run_campaign"]
+__all__ = [
+    "CampaignRunSummary",
+    "point_meta",
+    "run_campaign",
+    "run_point",
+    "run_points",
+]
 
 ProgressSink = Callable[[str], None]
+
+
+def run_point(spec: ScenarioSpec, engine: str, seed: int | None = None) -> Timed:
+    """Run one scenario on the named engine: the executor's point
+    function for every sweep (module-level, so it pickles by reference
+    into pool workers)."""
+    result = get_engine(engine).run(spec.with_seed(seed))
+    return Timed(result, result.cycles)
+
+
+def run_points(
+    points: Iterable[CampaignPoint],
+    jobs: int = 1,
+    progress: Callable[[int, int, RunOutcome], None] | None = None,
+) -> list[RunOutcome]:
+    """Run seeded points through the ``--jobs`` executor; outcomes come
+    back in point order, keyed by ``point.key``, and are identical for
+    any ``jobs`` value (every point carries its derived seed)."""
+    return run_specs(
+        [
+            RunSpec(
+                key=point.key,
+                fn=run_point,
+                args=(point.spec, point.engine),
+                seed=point.derived_seed,
+            )
+            for point in points
+        ],
+        jobs=jobs,
+        progress=progress,
+    )
 
 
 @dataclass(frozen=True)
@@ -187,11 +229,7 @@ def run_campaign(
                 f"{outcome.key!r} ({outcome.wall_seconds:.1f}s)"
             )
 
-        outcomes = run_specs(
-            [point.run_spec() for point in admitted],
-            jobs=jobs,
-            progress=persist,
-        )
+        outcomes = run_points(admitted, jobs=jobs, progress=persist)
         computed += len(outcomes)
         compute_seconds += sum(o.wall_seconds for o in outcomes)
 

@@ -4,19 +4,20 @@ A **campaign** is a parameter study written down as data — which sweep
 family (``fig5`` / ``fig9`` / ``fattree``), which preset and engine,
 which axis values (loads, burst sizes, variants), and which experiment
 seeds — loaded from a TOML or JSON file (or built programmatically) and
-expanded into the exact :class:`repro.scenario.ScenarioSpec` grid the
-interactive runner would execute.  The expansion is the psim
-``ConfigSweeper`` idiom recast onto this repo's scenario layer: the
-campaign file is the single source of truth, and every execution path —
-serial, ``--jobs N``, ``--shard i/N``, resumed after a kill — derives
-the same ordered point list from it.
+expanded into an ordered :class:`repro.scenario.ScenarioSpec` grid.
+The expansion is the psim ``ConfigSweeper`` idiom recast onto this
+repo's scenario layer: the grid is declared once, by the sweep module's
+``campaign_entries``, and :func:`sweep_points` seeds it the same way for
+every caller — campaign files, the ``repro-experiments`` runner, the
+ablations, and the shape benchmarks.  Every execution path — serial,
+``--jobs N``, ``--shard i/N``, resumed after a kill — derives the same
+ordered point list.
 
 Determinism contract: expansion order, point labels, and the per-point
-derived seeds are exactly those of the interactive sweep harness
-(:mod:`repro.experiments.common`), so a campaign's cached results are
-interchangeable with ``repro-experiments`` output, and a point's cache
-key (:meth:`CampaignPoint.store_key`) is stable across processes,
-hosts, and reruns.
+derived seeds depend only on the grid and the experiment seeds, so a
+point's cache key (:meth:`CampaignPoint.store_key`) is stable across
+processes, hosts, and reruns, and the runner computes exactly the
+points a campaign of the same grid caches.
 
 File schema (see docs/CAMPAIGNS.md for the full reference)::
 
@@ -41,19 +42,15 @@ File schema (see docs/CAMPAIGNS.md for the full reference)::
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
-import sys
+import tomllib
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec, derive_run_seed
-from repro.experiments.common import (
-    SweepEntry,
-    preset_by_name,
-    quicken,
-    scenario_point,
-)
+from repro.engine.parallel import derive_run_seed
+from repro.experiments.common import SweepEntry, preset_by_name, quicken
 from repro.scenario import ScenarioSpec
 
 __all__ = [
@@ -67,6 +64,7 @@ __all__ = [
     "load_campaign",
     "parse_campaign_text",
     "shard_points",
+    "sweep_points",
 ]
 
 #: version of the persisted result payload (part of every cache key);
@@ -179,7 +177,7 @@ class Campaign:
 
 @dataclass(frozen=True)
 class CampaignPoint:
-    """One expanded experiment point of a campaign.
+    """One seeded point of a sweep.
 
     ``index`` is the point's position in expansion order — the shard
     partitioning key (``index % nshards``).  ``spec`` already carries
@@ -204,56 +202,53 @@ class CampaignPoint:
         """The content-addressed cache key: (spec hash, engine, schema)."""
         return (self.spec.spec_hash(), self.engine, RESULT_SCHEMA_VERSION)
 
-    def run_spec(self) -> RunSpec:
-        """Lower to an executor spec — identical construction to
-        :func:`repro.experiments.common.sweep_specs`, so cached campaign
-        results are interchangeable with interactive sweep output."""
-        return RunSpec(
-            key=self.key,
-            fn=scenario_point,
-            args=(self.spec.with_seed(None), self.engine),
-            seed=self.derived_seed,
-        )
 
+def sweep_points(
+    base: NetworkConfig,
+    entries: list[SweepEntry],
+    seeds: tuple[int, ...] | None = None,
+    engine: str = "cycle",
+) -> list[CampaignPoint]:
+    """Seed a sweep's entries: one point per (experiment seed, entry).
 
-def _sweep_entries(campaign: Campaign, base: NetworkConfig) -> list[SweepEntry]:
-    """Ask the sweep family's experiment module to expand the axes."""
-    import importlib
-
-    module = importlib.import_module(SWEEPS[campaign.sweep])
-    try:
-        builder = module.campaign_entries
-    except AttributeError as exc:  # pragma: no cover - registry bug
-        raise CampaignError(
-            f"sweep module {SWEEPS[campaign.sweep]} lacks campaign_entries"
-        ) from exc
-    return builder(base, dict(campaign.axes))
-
-
-def expand_campaign(campaign: Campaign) -> list[CampaignPoint]:
-    """Expand a campaign into its ordered, fully seeded point list.
-
-    Order is (seed-major, sweep-entry order) and depends only on the
-    campaign definition — never on caches, shards, or worker counts —
-    so point indices are a stable partitioning key for ``--shard``.
+    The single place a sweep point gets its seed.  ``seeds`` defaults to
+    ``(base.sim.seed,)``, the config's own experiment seed; each point's
+    spec carries ``derive_run_seed(seed, entry.label)``, so it depends
+    only on the experiment seed and the label.  Order is seed-major,
+    then entry order, and the point key is ``(seed,) + entry.key``.
     """
-    base = campaign.base_config()
-    entries = _sweep_entries(campaign, base)
+    if seeds is None:
+        seeds = (base.sim.seed,)
     points: list[CampaignPoint] = []
-    for sweep_seed in campaign.seeds:
+    for sweep_seed in seeds:
         for entry in entries:
-            derived = derive_run_seed(sweep_seed, entry.label)
             points.append(
                 CampaignPoint(
                     index=len(points),
                     sweep_seed=sweep_seed,
                     key=(sweep_seed,) + tuple(entry.key),
                     label=entry.label,
-                    spec=entry.spec.with_seed(derived),
-                    engine=campaign.engine,
+                    spec=entry.spec.with_seed(
+                        derive_run_seed(sweep_seed, entry.label)
+                    ),
+                    engine=engine,
                 )
             )
     return points
+
+
+def expand_campaign(campaign: Campaign) -> list[CampaignPoint]:
+    """Expand a campaign into its ordered, fully seeded point list.
+
+    The sweep family's ``campaign_entries`` builds the grid and
+    :func:`sweep_points` seeds it, so the order depends only on the
+    campaign definition — never on caches, shards, or worker counts —
+    and point indices are a stable partitioning key for ``--shard``.
+    """
+    base = campaign.base_config()
+    module = importlib.import_module(SWEEPS[campaign.sweep])
+    entries = module.campaign_entries(base, dict(campaign.axes))
+    return sweep_points(base, entries, campaign.seeds, campaign.engine)
 
 
 def shard_points(
@@ -286,7 +281,10 @@ def parse_campaign_text(text: str, fmt: str = "toml") -> Campaign:
         except json.JSONDecodeError as exc:
             raise CampaignError(f"invalid campaign JSON: {exc}") from exc
     elif fmt == "toml":
-        data = _parse_toml(text)
+        try:
+            data = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise CampaignError(f"invalid campaign TOML: {exc}") from exc
     else:
         raise CampaignError(f"unknown campaign format {fmt!r}")
     return _campaign_from_data(data)
@@ -343,125 +341,3 @@ def _campaign_from_data(data: Any) -> Campaign:
         windows=dict(windows),
     )
 
-
-def _parse_toml(text: str) -> dict[str, Any]:
-    """Parse campaign TOML — stdlib :mod:`tomllib` on Python >= 3.11,
-    the bundled subset parser (:func:`parse_toml_subset`) on 3.10."""
-    if sys.version_info >= (3, 11):
-        import tomllib
-
-        try:
-            return tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise CampaignError(f"invalid campaign TOML: {exc}") from exc
-    # Python 3.10: no stdlib tomllib and no new deps allowed
-    return parse_toml_subset(text)
-
-
-def parse_toml_subset(text: str) -> dict[str, Any]:
-    """A minimal TOML-subset reader for campaign files on Python 3.10.
-
-    Supports exactly what the campaign schema needs — ``[section]``
-    headers one level deep, ``key = value`` with string / int / float /
-    bool scalars, single-line arrays of scalars, and ``#`` comments —
-    and rejects everything else loudly.  Campaign files written for this
-    subset parse identically under stdlib ``tomllib`` (a test asserts
-    so for every committed campaign file).
-    """
-    root: dict[str, Any] = {}
-    table = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_toml_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise CampaignError(f"line {lineno}: malformed table header")
-            name = line[1:-1].strip()
-            if not name or "." in name or "[" in name:
-                raise CampaignError(
-                    f"line {lineno}: only single-level [section] headers "
-                    "are supported"
-                )
-            if name in root:
-                raise CampaignError(f"line {lineno}: duplicate table {name!r}")
-            table = root.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise CampaignError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip().strip('"')
-        if not key:
-            raise CampaignError(f"line {lineno}: empty key")
-        if key in table:
-            raise CampaignError(f"line {lineno}: duplicate key {key!r}")
-        table[key] = _parse_toml_value(value.strip(), lineno)
-    return root
-
-
-def _strip_toml_comment(line: str) -> str:
-    """Drop a trailing ``#`` comment (respecting double-quoted strings)."""
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _parse_toml_value(token: str, lineno: int) -> Any:
-    if not token:
-        raise CampaignError(f"line {lineno}: missing value")
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_toml_value(part.strip(), lineno)
-            for part in _split_toml_array(inner, lineno)
-        ]
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise CampaignError(
-            f"line {lineno}: unsupported value {token!r} (the 3.10 subset "
-            "parser reads strings, ints, floats, bools, and flat arrays)"
-        ) from None
-
-
-def _split_toml_array(inner: str, lineno: int) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    in_string = False
-    current = []
-    for ch in inner:
-        if ch == '"':
-            in_string = not in_string
-        if not in_string:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append("".join(current))
-                current = []
-                continue
-        current.append(ch)
-    if in_string or depth:
-        raise CampaignError(f"line {lineno}: unterminated array or string")
-    if "".join(current).strip():
-        parts.append("".join(current))
-    return parts

@@ -170,8 +170,6 @@ RNG_HOME_STEMS = frozenset({"rng"})
 WALL_CLOCK_WHITELIST: dict[str, frozenset[str]] = {
     "runner": frozenset({"perf_counter"}),
     "parallel": frozenset({"perf_counter"}),
-    # the perf-trajectory benchmark exists to measure wall-clock
-    "bench_trajectory": frozenset({"perf_counter"}),
     # engine cross-validation reports the cycle-vs-flow speedup
     "crosscheck": frozenset({"perf_counter"}),
 }

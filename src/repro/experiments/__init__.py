@@ -1,9 +1,12 @@
 """Experiment harness: one module per paper table/figure.
 
-Every module exposes ``run_*`` returning plain data structures and a
-``format_*`` pretty-printer producing the same rows/series the paper
-reports.  ``python -m repro.experiments <name>`` (or the
-``repro-experiments`` console script) drives them from the command line.
+The sweeps (fig5, fig9, fattree) expose ``campaign_entries`` — their
+grid, which :mod:`repro.campaign` seeds and runs — and a ``format_*``
+of the ordered outcomes; the other modules expose ``run_*`` returning
+plain data structures and a ``format_*`` pretty-printer.  Every
+formatter produces the same rows/series the paper reports.
+``python -m repro.experiments <name>`` (or the ``repro-experiments``
+console script) drives them from the command line.
 
 Experiment index (see DESIGN.md Section 4):
 

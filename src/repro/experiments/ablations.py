@@ -24,12 +24,9 @@ from repro.analysis.littles_law import (
     stash_limited_injection_rate,
     stash_per_endpoint_flits,
 )
+from repro.campaign import run_points, sweep_points
 from repro.engine.config import NetworkConfig, ReliabilityParams
-from repro.experiments.common import (
-    SweepEntry,
-    preset_by_name,
-    run_sweep,
-)
+from repro.experiments.common import SweepEntry, preset_by_name
 from repro.scenario import ScenarioSpec, UniformTraffic, reliability_scenario
 
 __all__ = [
@@ -75,10 +72,10 @@ def run_speedup_ablation(
         )
         for s in speedups
     ]
-    outcomes = run_sweep(entries, seed=base.sim.seed, jobs=jobs,
-                         progress=progress)
+    outcomes = run_points(sweep_points(base, entries), jobs=jobs,
+                          progress=progress)
     return [
-        (o.key[1], o.value.accepted_load, o.value.avg_latency)
+        (o.key[-1], o.value.accepted_load, o.value.avg_latency)
         for o in outcomes
     ]
 
@@ -107,10 +104,10 @@ def run_placement_ablation(
         )
         for placement in ("jsq", "random")
     ]
-    outcomes = run_sweep(entries, seed=base.sim.seed, jobs=jobs,
-                         progress=progress)
+    outcomes = run_points(sweep_points(base, entries), jobs=jobs,
+                          progress=progress)
     return {
-        o.key[1]: {
+        o.key[-1]: {
             "accepted": o.value.accepted_load,
             "avg_latency": o.value.avg_latency,
             "stash_stalls": o.value.extra("stash_stalls"),
@@ -151,8 +148,8 @@ def run_littles_law_check(
         )
         for load in sorted(loads)
     ]
-    outcomes = run_sweep(entries, seed=base.sim.seed, jobs=jobs,
-                         progress=progress)
+    outcomes = run_points(sweep_points(base, entries), jobs=jobs,
+                          progress=progress)
 
     best_accepted = 0.0
     rtt_estimate = None

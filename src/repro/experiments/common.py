@@ -9,28 +9,20 @@ compatibility) so both engines resolve them identically.
 
 Every sweep-style experiment (fig5, fig9, fattree, ablations) builds a
 list of :class:`SweepEntry` — a stable key, the seed-derivation label,
-and an engine-agnostic :class:`~repro.scenario.ScenarioSpec` — and runs
-it through :func:`run_sweep`.  The harness owns the boilerplate the
-figure scripts used to duplicate: per-point seed derivation, RunSpec
-construction, executor fan-out, and collection by variant.  Labels are
-byte-compatible with the pre-harness scripts, so derived seeds (and
-therefore all cycle-engine output) are unchanged.
+and an engine-agnostic :class:`~repro.scenario.ScenarioSpec` — and
+hands it to the campaign layer, which seeds it
+(:func:`repro.campaign.sweep_points`) and runs it
+(:func:`repro.campaign.run_points`).  Labels are byte-compatible with
+the pre-harness scripts, so derived seeds (and therefore all
+cycle-engine output) are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any
 
-from repro.engine.base import get_engine
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import (
-    RunOutcome,
-    RunSpec,
-    Timed,
-    derive_run_seed,
-    run_specs,
-)
 from repro.scenario.spec import (
     CONGESTION_VARIANTS,
     RELIABILITY_VARIANTS,
@@ -43,14 +35,10 @@ __all__ = [
     "CONGESTION_VARIANTS",
     "RELIABILITY_VARIANTS",
     "SweepEntry",
-    "collect_by_variant",
     "congestion_network",
     "preset_by_name",
     "quicken",
     "reliability_network",
-    "run_sweep",
-    "scenario_point",
-    "sweep_specs",
 ]
 
 
@@ -103,7 +91,7 @@ def congestion_network(base: NetworkConfig, variant: str, seed: int | None = Non
 
 
 # ----------------------------------------------------------------------
-# the shared sweep harness
+# sweep entries (seeded and run by repro.campaign)
 # ----------------------------------------------------------------------
 
 
@@ -116,57 +104,3 @@ class SweepEntry:
     key: Any
     label: str
     spec: ScenarioSpec
-
-
-def scenario_point(
-    spec: ScenarioSpec, engine: str = "cycle", seed: int | None = None
-) -> Timed:
-    """Run one scenario on the named engine (module-level, so sweep
-    specs pickle by reference into pool workers)."""
-    result = get_engine(engine).run(spec.with_seed(seed))
-    return Timed(result, result.cycles)
-
-
-def sweep_specs(
-    entries: Iterable[SweepEntry], seed: int = 1, engine: str = "cycle"
-) -> list[RunSpec]:
-    """Lower sweep entries to executor run specs with derived seeds."""
-    return [
-        RunSpec(
-            key=entry.key,
-            fn=scenario_point,
-            args=(entry.spec, engine),
-            seed=derive_run_seed(seed, entry.label),
-        )
-        for entry in entries
-    ]
-
-
-def run_sweep(
-    entries: Iterable[SweepEntry],
-    seed: int = 1,
-    engine: str = "cycle",
-    jobs: int = 1,
-    progress: Callable[[int, int, RunOutcome], None] | None = None,
-) -> list[RunOutcome]:
-    """Run every entry on ``engine`` and return outcomes in entry order.
-
-    Deterministic for any ``jobs`` value on both engines: the cycle
-    engine via per-point derived seeds, the flow engine because it is a
-    pure function of the spec.
-    """
-    return run_specs(sweep_specs(entries, seed, engine), jobs=jobs,
-                     progress=progress)
-
-
-def collect_by_variant(
-    outcomes: Iterable[RunOutcome],
-    variants: Sequence[str],
-    value: Callable[[Any], Any] = lambda v: v,
-) -> dict[str, list[Any]]:
-    """Group outcome values by the leading element of their key, in
-    outcome order — the collection loop every figure script repeated."""
-    results: dict[str, list[Any]] = {v: [] for v in variants}
-    for outcome in outcomes:
-        results[outcome.key[0]].append(value(outcome.value))
-    return results

@@ -14,47 +14,32 @@ docs/FASTPATH.md at a small fraction of the cycle engine's cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec
-from repro.experiments.common import (
-    RELIABILITY_VARIANTS,
-    SweepEntry,
-    collect_by_variant,
-    preset_by_name,
-    run_sweep,
-    sweep_specs,
-)
+from repro.engine.parallel import RunOutcome
+from repro.experiments.common import RELIABILITY_VARIANTS, SweepEntry
 from repro.scenario import UniformTraffic, reliability_scenario
 
-__all__ = [
-    "Fig5Point",
-    "campaign_entries",
-    "fig5_entries",
-    "fig5_specs",
-    "format_fig5",
-    "run_fig5",
-]
+__all__ = ["campaign_entries", "format_fig5"]
 
 DEFAULT_LOADS = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)
 
 
-@dataclass(frozen=True)
-class Fig5Point:
-    offered: float
-    accepted: float
-    avg_latency: float
-    p99_latency: float
+def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
+    """The Fig. 5 grid: one scenario per (variant, load), variant-major.
 
-
-def fig5_entries(
-    base: NetworkConfig,
-    loads: tuple[float, ...] = DEFAULT_LOADS,
-    variants: tuple[str, ...] = tuple(RELIABILITY_VARIANTS),
-    msg_flits: int | None = None,
-) -> list[SweepEntry]:
-    """One scenario per (variant, load) sweep point."""
+    Accepted ``axes`` keys, each optional (the default is the full
+    grid): ``variants``, ``loads``, ``msg_flits``.  Loads are coerced to
+    float so a campaign file's ``1`` and ``1.0`` produce identical
+    labels (and therefore identical derived seeds).
+    """
+    known = {"variants", "loads", "msg_flits"}
+    unknown = sorted(set(axes) - known)
+    if unknown:
+        raise ValueError(
+            f"fig5 campaigns accept axes {sorted(known)}; unknown {unknown}"
+        )
+    loads = tuple(float(x) for x in axes.get("loads", DEFAULT_LOADS))
+    msg_flits = axes.get("msg_flits")
     return [
         SweepEntry(
             key=(variant, load),
@@ -65,78 +50,19 @@ def fig5_entries(
                 traffic=(UniformTraffic(rate=load, msg_flits=msg_flits),),
             ),
         )
-        for variant in variants
+        for variant in axes.get("variants", RELIABILITY_VARIANTS)
         for load in loads
     ]
 
 
-def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
-    """Campaign-file binding (``sweep = "fig5"``; docs/CAMPAIGNS.md).
-
-    Accepted ``[axes]`` keys: ``variants``, ``loads``, ``msg_flits``.
-    Loads are coerced to float so a campaign file's ``1`` and the
-    interactive runner's ``1.0`` produce identical labels (and
-    therefore identical derived seeds).
-    """
-    known = {"variants", "loads", "msg_flits"}
-    unknown = sorted(set(axes) - known)
-    if unknown:
-        raise ValueError(
-            f"fig5 campaigns accept axes {sorted(known)}; unknown {unknown}"
-        )
-    return fig5_entries(
-        base,
-        loads=tuple(float(x) for x in axes.get("loads", DEFAULT_LOADS)),
-        variants=tuple(axes.get("variants", tuple(RELIABILITY_VARIANTS))),
-        msg_flits=axes.get("msg_flits"),
-    )
-
-
-def fig5_specs(
-    base: NetworkConfig,
-    loads: tuple[float, ...] = DEFAULT_LOADS,
-    variants: tuple[str, ...] = tuple(RELIABILITY_VARIANTS),
-    msg_flits: int | None = None,
-    seed: int = 1,
-    engine: str = "cycle",
-) -> list[RunSpec]:
-    """One executor spec per (variant, load) sweep point."""
-    return sweep_specs(
-        fig5_entries(base, loads, variants, msg_flits), seed, engine
-    )
-
-
-def run_fig5(
-    base: NetworkConfig | None = None,
-    loads: tuple[float, ...] = DEFAULT_LOADS,
-    variants: tuple[str, ...] = tuple(RELIABILITY_VARIANTS),
-    msg_flits: int | None = None,
-    seed: int = 1,
-    jobs: int = 1,
-    engine: str = "cycle",
-    progress=None,
-) -> dict[str, list[Fig5Point]]:
-    if base is None:
-        base = preset_by_name("tiny")
-    outcomes = run_sweep(
-        fig5_entries(base, loads, variants, msg_flits),
-        seed=seed, engine=engine, jobs=jobs, progress=progress,
-    )
-    return collect_by_variant(
-        outcomes,
-        variants,
-        value=lambda r: Fig5Point(
-            offered=r.offered_load,
-            accepted=r.accepted_load,
-            avg_latency=r.avg_latency,
-            p99_latency=r.p99_latency,
-        ),
-    )
-
-
-def format_fig5(results: dict[str, list[Fig5Point]]) -> str:
+def format_fig5(outcomes: list[RunOutcome]) -> str:
+    """Render the ordered outcomes of a single-seed Fig. 5 sweep."""
     from repro.analysis.ascii_chart import multi_series_chart
 
+    results: dict[str, list] = {}
+    for outcome in outcomes:
+        _seed, variant, _load = outcome.key
+        results.setdefault(variant, []).append(outcome.value)
     lines = [
         "Figure 5 — reliability stashing under uniform-random traffic",
         "",
@@ -146,7 +72,7 @@ def format_fig5(results: dict[str, list[Fig5Point]]) -> str:
     for variant, points in results.items():
         for p in points:
             lines.append(
-                f"{variant:<10} {p.offered:>8.3f} {p.accepted:>9.3f} "
+                f"{variant:<10} {p.offered_load:>8.3f} {p.accepted_load:>9.3f} "
                 f"{p.avg_latency:>8.1f} {p.p99_latency:>8.1f}"
             )
         lines.append("")
@@ -155,8 +81,8 @@ def format_fig5(results: dict[str, list[Fig5Point]]) -> str:
         multi_series_chart(
             {
                 variant: (
-                    [p.offered for p in points],
-                    [p.accepted for p in points],
+                    [p.offered_load for p in points],
+                    [p.accepted_load for p in points],
                 )
                 for variant, points in results.items()
             }

@@ -19,35 +19,37 @@ closed-loop fluid sources and reports trend-level tails only
 from __future__ import annotations
 
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec
-from repro.experiments.common import (
-    CONGESTION_VARIANTS,
-    SweepEntry,
-    preset_by_name,
-    run_sweep,
-    sweep_specs,
-)
+from repro.engine.parallel import RunOutcome
+from repro.experiments.common import CONGESTION_VARIANTS, SweepEntry
 from repro.scenario import UniformAggressorTraffic, congestion_scenario
 
 __all__ = [
     "campaign_entries",
-    "fig9_entries",
-    "fig9_specs",
     "format_fig9",
-    "run_fig9",
+    "victim_series",
 ]
 
 DEFAULT_BURSTS_PKTS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def fig9_entries(
-    base: NetworkConfig,
-    bursts_pkts: tuple[int, ...] = DEFAULT_BURSTS_PKTS,
-    variants: tuple[str, ...] = tuple(CONGESTION_VARIANTS),
-    victim_rate: float = 0.4,
-) -> list[SweepEntry]:
-    """One scenario per (variant, burst size); fig9 measures without a
-    drain phase (open victim + saturating aggressors never drain)."""
+def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
+    """The Fig. 9 grid: one scenario per (variant, burst size),
+    variant-major.  Fig. 9 measures without a drain phase (open victim +
+    saturating aggressors never drain).
+
+    Accepted ``axes`` keys, each optional (the default is the full
+    grid): ``variants``, ``bursts_pkts``, ``victim_rate``.  Burst sizes
+    are coerced to int (labels, and therefore derived seeds, must not
+    depend on how a campaign file spells them).
+    """
+    known = {"variants", "bursts_pkts", "victim_rate"}
+    unknown = sorted(set(axes) - known)
+    if unknown:
+        raise ValueError(
+            f"fig9 campaigns accept axes {sorted(known)}; unknown {unknown}"
+        )
+    bursts = tuple(int(x) for x in axes.get("bursts_pkts", DEFAULT_BURSTS_PKTS))
+    victim_rate = float(axes.get("victim_rate", 0.4))
     return [
         SweepEntry(
             key=(variant, burst),
@@ -64,87 +66,36 @@ def fig9_entries(
                 drain=False,
             ),
         )
-        for variant in variants
-        for burst in bursts_pkts
+        for variant in axes.get("variants", CONGESTION_VARIANTS)
+        for burst in bursts
     ]
 
 
-def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
-    """Campaign-file binding (``sweep = "fig9"``; docs/CAMPAIGNS.md).
-
-    Accepted ``[axes]`` keys: ``variants``, ``bursts_pkts``,
-    ``victim_rate``.  Burst sizes are coerced to int (labels, and
-    therefore derived seeds, must match the interactive runner's).
-    """
-    known = {"variants", "bursts_pkts", "victim_rate"}
-    unknown = sorted(set(axes) - known)
-    if unknown:
-        raise ValueError(
-            f"fig9 campaigns accept axes {sorted(known)}; unknown {unknown}"
-        )
-    return fig9_entries(
-        base,
-        bursts_pkts=tuple(
-            int(x) for x in axes.get("bursts_pkts", DEFAULT_BURSTS_PKTS)
-        ),
-        variants=tuple(axes.get("variants", tuple(CONGESTION_VARIANTS))),
-        victim_rate=float(axes.get("victim_rate", 0.4)),
-    )
-
-
-def fig9_specs(
-    base: NetworkConfig,
-    bursts_pkts: tuple[int, ...] = DEFAULT_BURSTS_PKTS,
-    variants: tuple[str, ...] = tuple(CONGESTION_VARIANTS),
-    victim_rate: float = 0.4,
-    seed: int = 1,
-    engine: str = "cycle",
-) -> list[RunSpec]:
-    """One executor spec per (variant, burst size) sweep point."""
-    return sweep_specs(
-        fig9_entries(base, bursts_pkts, variants, victim_rate), seed, engine
-    )
-
-
-def run_fig9(
-    base: NetworkConfig | None = None,
-    bursts_pkts: tuple[int, ...] = DEFAULT_BURSTS_PKTS,
-    variants: tuple[str, ...] = tuple(CONGESTION_VARIANTS),
-    victim_rate: float = 0.4,
-    percentile: float = 90.0,
-    seed: int = 1,
-    jobs: int = 1,
-    engine: str = "cycle",
-    progress=None,
+def victim_series(
+    outcomes: list[RunOutcome],
 ) -> dict[str, list[tuple[int, float, float]]]:
-    """Returns variant -> [(burst_pkts, victim pXX latency, victim
-    accepted load)] — the paper notes victim throughput holds at 40 %
-    across the sweep while latency diverges."""
-    if base is None:
-        base = preset_by_name("tiny")
-    outcomes = run_sweep(
-        fig9_entries(base, bursts_pkts, variants, victim_rate),
-        seed=seed, engine=engine, jobs=jobs, progress=progress,
-    )
-    results: dict[str, list[tuple[int, float, float]]] = {
-        v: [] for v in variants
-    }
+    """Variant -> [(burst_pkts, victim p90 latency, accepted load)] from
+    the ordered outcomes of a single-seed Fig. 9 sweep — the paper notes
+    victim throughput holds at 40 % across the sweep while latency
+    diverges."""
+    series: dict[str, list[tuple[int, float, float]]] = {}
     for outcome in outcomes:
-        variant, burst = outcome.key
+        _seed, variant, burst = outcome.key
         r = outcome.value
-        results[variant].append(
-            (burst, r.group("victim").percentile(percentile), r.accepted_load)
+        series.setdefault(variant, []).append(
+            (burst, r.group("victim").percentile(90.0), r.accepted_load)
         )
-    return results
+    return series
 
 
-def format_fig9(results: dict[str, list[tuple[int, float, float]]]) -> str:
+def format_fig9(outcomes: list[RunOutcome]) -> str:
+    """Render the ordered outcomes of a single-seed Fig. 9 sweep."""
     lines = [
         "Figure 9 — victim 90th-percentile latency vs aggressor burst size",
         "",
         f"{'variant':<10} {'burst(pkts)':>12} {'p90 latency':>12} {'accepted':>9}",
     ]
-    for variant, series in results.items():
+    for variant, series in victim_series(outcomes).items():
         for burst, p90, accepted in series:
             lines.append(
                 f"{variant:<10} {burst:>12} {p90:>12.1f} {accepted:>9.3f}"

@@ -18,9 +18,11 @@ carries exactly the formatted tables/figures.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
+from repro.campaign import SWEEPS, run_points, sweep_points
 from repro.experiments.common import preset_by_name, quicken
 
 __all__ = ["main"]
@@ -55,25 +57,32 @@ def _progress_printer(name: str):
     return progress
 
 
-#: experiments that accept an ``engine=`` argument; everything else
+#: runner ``--quick`` axes of each sweep; without ``--quick`` a sweep
+#: runs its module's full default grid
+QUICK_AXES = {
+    "fig5": {"loads": (0.2, 0.5, 0.8)},
+    "fig9": {"bursts_pkts": (1, 8, 32)},
+    "fattree": {"loads": (0.3,)},
+}
+
+#: experiments that run on either engine: the sweeps.  Everything else
 #: probes the switch microarchitecture or transient behavior and is
 #: cycle-only (see docs/FASTPATH.md)
-ENGINE_AWARE = ("fig5", "fig9", "fattree")
+ENGINE_AWARE = tuple(SWEEPS)
 
 
 def _run_one(name: str, base, quick: bool, jobs: int = 1,
              engine: str = "cycle") -> str:
     progress = _progress_printer(name)
-    if engine != "cycle" and name not in ENGINE_AWARE:
-        from repro.engine.base import EngineUnsupported
-
-        raise EngineUnsupported(
-            f"experiment {name!r} is cycle-only: it measures transients or "
-            "per-packet behaviour, which the steady-state fluid fastpath "
-            "cannot represent (a time-stepped fluid mode would be needed; "
-            f"see docs/FASTPATH.md). --engine {engine} supports "
-            f"{', '.join(ENGINE_AWARE)}"
+    seed = base.sim.seed
+    if name in SWEEPS:
+        module = importlib.import_module(SWEEPS[name])
+        entries = module.campaign_entries(base, QUICK_AXES[name] if quick else {})
+        outcomes = run_points(
+            sweep_points(base, entries, engine=engine),
+            jobs=jobs, progress=progress,
         )
+        return getattr(module, f"format_{name}")(outcomes)
     if name == "table1":
         from repro.experiments.tables import format_table1, run_table1
 
@@ -82,38 +91,22 @@ def _run_one(name: str, base, quick: bool, jobs: int = 1,
         from repro.experiments.tables import format_table2, run_table2
 
         return format_table2(run_table2(jobs=jobs, progress=progress))
-    if name == "fig5":
-        from repro.experiments.fig5 import format_fig5, run_fig5
-
-        loads = (0.2, 0.5, 0.8) if quick else (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)
-        return format_fig5(
-            run_fig5(base, loads=loads, jobs=jobs, progress=progress,
-                     engine=engine)
-        )
     if name == "fig6":
         from repro.experiments.fig6 import format_fig6, run_fig6
 
         apps = ("BIGFFT", "MiniFE") if quick else None
         kwargs = {"apps": apps} if apps else {}
         return format_fig6(
-            run_fig6(base, jobs=jobs, progress=progress, **kwargs)
+            run_fig6(base, seed=seed, jobs=jobs, progress=progress, **kwargs)
         )
     if name == "fig7":
         from repro.experiments.fig7 import format_fig7, run_fig7
 
-        return format_fig7(run_fig7(base))
+        return format_fig7(run_fig7(base, seed=seed))
     if name == "fig8":
         from repro.experiments.fig8 import format_fig8, run_fig8
 
-        return format_fig8(run_fig8(base))
-    if name == "fig9":
-        from repro.experiments.fig9 import format_fig9, run_fig9
-
-        bursts = (1, 8, 32) if quick else (1, 2, 4, 8, 16, 32, 64)
-        return format_fig9(
-            run_fig9(base, bursts_pkts=bursts, jobs=jobs, progress=progress,
-                     engine=engine)
-        )
+        return format_fig8(run_fig8(base, seed=seed))
     if name == "occupancy":
         from repro.experiments.occupancy import (
             format_occupancy,
@@ -121,20 +114,7 @@ def _run_one(name: str, base, quick: bool, jobs: int = 1,
         )
 
         return format_occupancy(
-            run_occupancy_census(base, jobs=jobs, progress=progress)
-        )
-    if name == "fattree":
-        from repro.experiments.fattree_exp import (
-            format_fattree,
-            run_fattree_reliability,
-        )
-
-        loads = (0.3,) if quick else (0.3, 0.7)
-        return format_fattree(
-            run_fattree_reliability(
-                base, loads=loads, jobs=jobs, progress=progress,
-                engine=engine,
-            )
+            run_occupancy_census(base, seed=seed, jobs=jobs, progress=progress)
         )
     if name == "ablation":
         from repro.experiments.ablations import (

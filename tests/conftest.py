@@ -3,13 +3,17 @@
 ``micro_config`` is a 6-node, 6-switch dragonfly (p=1, a=2, h=1) with
 short links and small buffers — single-digit milliseconds per thousand
 cycles.  ``single_switch_net`` wires N endpoints to one switch, the
-fastest way to exercise the full datapath.
+fastest way to exercise the full datapath.  ``run_grid`` runs a sweep
+family's grid the way the runner and campaigns do.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+from repro.campaign import SWEEPS, run_points, sweep_points
 from repro.engine.config import (
     DragonflyParams,
     EcnParams,
@@ -129,3 +133,12 @@ def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
     posted = sum(ep.messages_posted for ep in net.endpoints)
     delivered = sum(1 for m in net.messages.values() if m.delivered)
     assert delivered == posted, f"{delivered}/{posted} messages delivered"
+
+
+def run_grid(sweep, base, axes, seeds=None, engine="cycle", jobs=1):
+    """Run one sweep family's grid through the campaign layer, exactly
+    as the runner does: ``campaign_entries`` -> ``sweep_points`` ->
+    ``run_points``.  Outcomes come back in grid order."""
+    module = importlib.import_module(SWEEPS[sweep])
+    entries = module.campaign_entries(base, axes)
+    return run_points(sweep_points(base, entries, seeds, engine), jobs=jobs)

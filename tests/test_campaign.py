@@ -34,10 +34,8 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.service import point_meta
-from repro.campaign.spec import load_campaign, parse_toml_subset
+from repro.campaign.spec import load_campaign
 from repro.campaign.store import encode_entry
-from repro.experiments.common import preset_by_name, sweep_specs
-from repro.experiments.fig5 import fig5_entries
 from repro.obs.counters import CounterRegistry
 
 REPO = Path(__file__).resolve().parent.parent
@@ -114,21 +112,25 @@ class TestParsing:
         toml_path.write_text(TINY_FLOW_TOML)
         assert load_campaign(str(toml_path)) == tiny_flow_campaign()
 
-    def test_subset_parser_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert parse_toml_subset(TINY_FLOW_TOML) == tomllib.loads(
-            TINY_FLOW_TOML
-        )
-
-    def test_committed_campaign_files_parse_under_both_parsers(self):
-        """Every campaigns/*.toml must stay inside the 3.10 subset."""
-        tomllib = pytest.importorskip("tomllib")
+    def test_committed_campaign_files_load(self):
+        """Every campaigns/*.toml parses and validates as a campaign."""
         files = sorted((REPO / "campaigns").glob("*.toml"))
         assert files, "no committed campaign files found"
         for path in files:
-            text = path.read_text()
-            assert parse_toml_subset(text) == tomllib.loads(text), path
-            load_campaign(str(path))  # and it validates as a campaign
+            load_campaign(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[campaign\nname = 'x'\n",
+            "just words\n",
+            "[campaign]\nname = 'x'\nname = 'y'\n",
+        ],
+        ids=["unterminated-header", "bare-words", "duplicate-key"],
+    )
+    def test_malformed_toml_raises_campaign_error(self, text):
+        with pytest.raises(CampaignError, match="invalid campaign TOML"):
+            parse_campaign_text(text, "toml")
 
     @pytest.mark.parametrize(
         "mutant, match",
@@ -161,14 +163,6 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown \\['flavours'\\]"):
             expand_campaign(campaign)
 
-    def test_subset_parser_rejects_unsupported_toml(self):
-        with pytest.raises(CampaignError, match="single-level"):
-            parse_toml_subset("[a.b]\n")
-        with pytest.raises(CampaignError, match="key = value"):
-            parse_toml_subset("just words\n")
-        with pytest.raises(CampaignError, match="unsupported value"):
-            parse_toml_subset("x = 1979-05-27\n")
-
     def test_campaign_hash_ignores_axes_order(self):
         a = tiny_flow_campaign(axes={"variants": ["baseline"], "loads": [0.3]})
         b = tiny_flow_campaign(axes={"loads": [0.3], "variants": ["baseline"]})
@@ -187,24 +181,6 @@ class TestExpansion:
         assert [p.index for p in points] == list(range(8))
         assert points[0].key == (1, "baseline", 0.3)
         assert points[4].key == (2, "baseline", 0.3)  # seed-major order
-
-    def test_matches_interactive_sweep_specs(self):
-        """A campaign point's executor spec is exactly what the
-        interactive harness builds — same seed, same spec, same fn —
-        so cached results are interchangeable."""
-        campaign = tiny_flow_campaign()
-        base = campaign.base_config()
-        entries = fig5_entries(
-            base, loads=(0.3, 0.7), variants=("baseline", "stash25")
-        )
-        expected = sweep_specs(entries, seed=1, engine="flow")
-        points = expand_campaign(campaign)
-        assert len(points) == len(expected)
-        for point, spec in zip(points, expected):
-            run = point.run_spec()
-            assert run.seed == spec.seed
-            assert run.args == spec.args
-            assert run.fn is spec.fn
 
     def test_loads_coerced_to_float(self):
         """TOML `1` and `1.0` must label (and therefore seed and hash)

@@ -76,8 +76,8 @@ def test_engines_consume_identical_spec_hashes(rows):
 
 def test_flow_engine_is_faster(rows):
     # micro presets are tiny, so demand only a loose floor here; the
-    # >=50x fig5-scale claim is measured by BENCH_9.json and the CI
-    # crosscheck job on the tiny preset
+    # >=50x fig5-scale claim is measured by the CI crosscheck job on
+    # the tiny preset (docs/FASTPATH.md, "Performance accounting")
     for row in rows:
         assert row.flow_seconds < row.cycle_seconds
 

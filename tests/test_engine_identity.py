@@ -2,7 +2,9 @@
 
 The goldens under ``tests/goldens/`` are verbatim stdout captures of
 fig5/fig9/fattree taken *before* the experiments were rebuilt on
-``ScenarioSpec`` + the sweep harness.  The refactor's contract is that
+``ScenarioSpec`` and the campaign layer's single sweep path
+(``campaign_entries`` -> ``sweep_points`` -> ``run_points``), which is
+how these tests render them.  The refactor's contract is that
 the cycle engine's formatted output — seeds, sweep order, and every
 simulated flit — is byte-identical, so these tests compare whole
 rendered tables, not summary statistics.
@@ -13,10 +15,12 @@ golden in the same commit and say so in the commit message.
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
+from repro.campaign import SWEEPS
 from repro.engine.config import SimParams
-from tests.conftest import micro_config
+from tests.conftest import micro_config, run_grid
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -41,46 +45,31 @@ def _assert_matches(name: str, rendered: str) -> None:
     )
 
 
-def test_fig5_byte_identical_to_pre_scenario_capture():
-    from repro.experiments.fig5 import format_fig5, run_fig5
+def _render(sweep: str, axes: dict) -> str:
+    """Run a sweep the way the runner does and format it with the sweep
+    module's own formatter."""
+    module = importlib.import_module(SWEEPS[sweep])
+    outcomes = run_grid(sweep, _golden_config(), axes)
+    return getattr(module, f"format_{sweep}")(outcomes)
 
-    out = format_fig5(
-        run_fig5(
-            _golden_config(),
-            loads=(0.2, 0.8),
-            variants=("baseline", "stash100", "stash25"),
-            seed=3,
-        )
+
+def test_fig5_byte_identical_to_pre_scenario_capture():
+    out = _render(
+        "fig5",
+        {"loads": (0.2, 0.8), "variants": ("baseline", "stash100", "stash25")},
     )
     _assert_matches("fig5_micro.txt", out)
 
 
 def test_fig9_byte_identical_to_pre_scenario_capture():
-    from repro.experiments.fig9 import format_fig9, run_fig9
-
-    out = format_fig9(
-        run_fig9(
-            _golden_config(),
-            bursts_pkts=(1, 4),
-            variants=("baseline", "stash100"),
-            seed=3,
-        )
+    out = _render(
+        "fig9", {"bursts_pkts": (1, 4), "variants": ("baseline", "stash100")}
     )
     _assert_matches("fig9_micro.txt", out)
 
 
 def test_fattree_byte_identical_to_pre_scenario_capture():
-    from repro.experiments.fattree_exp import (
-        format_fattree,
-        run_fattree_reliability,
-    )
-
-    out = format_fattree(
-        run_fattree_reliability(
-            _golden_config(),
-            loads=(0.3,),
-            variants=("baseline", "stash100"),
-            seed=3,
-        )
+    out = _render(
+        "fattree", {"loads": (0.3,), "variants": ("baseline", "stash100")}
     )
     _assert_matches("fattree_micro.txt", out)

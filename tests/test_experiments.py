@@ -18,7 +18,7 @@ from repro.experiments.common import (
     quicken,
     reliability_network,
 )
-from tests.conftest import micro_config
+from tests.conftest import micro_config, run_grid
 
 
 def fast_base():
@@ -65,17 +65,19 @@ class TestCommon:
 
 class TestFig5:
     def test_sweep_shape(self):
-        from repro.experiments.fig5 import format_fig5, run_fig5
+        from repro.experiments.fig5 import format_fig5
 
-        res = run_fig5(fast_base(), loads=(0.2,), variants=("baseline",
-                                                            "stash100"))
-        assert set(res) == {"baseline", "stash100"}
-        for points in res.values():
-            assert len(points) == 1
-            p = points[0]
-            assert 0 < p.accepted <= 1.0
-            assert p.avg_latency > 0
-        table = format_fig5(res)
+        outcomes = run_grid(
+            "fig5", fast_base(),
+            {"loads": (0.2,), "variants": ("baseline", "stash100")},
+        )
+        assert [o.key for o in outcomes] == [
+            (3, "baseline", 0.2), (3, "stash100", 0.2)
+        ]
+        for o in outcomes:
+            assert 0 < o.value.accepted_load <= 1.0
+            assert o.value.avg_latency > 0
+        table = format_fig5(outcomes)
         assert "baseline" in table and "stash100" in table
 
 
@@ -120,16 +122,17 @@ class TestFig8:
 
 class TestFig9:
     def test_burst_sweep(self):
-        from repro.experiments.fig9 import format_fig9, run_fig9
+        from repro.experiments.fig9 import format_fig9, victim_series
 
-        res = run_fig9(
-            fast_base(), bursts_pkts=(1, 4), variants=("baseline",),
-            victim_rate=0.25,
+        outcomes = run_grid(
+            "fig9", fast_base(),
+            {"bursts_pkts": (1, 4), "variants": ("baseline",),
+             "victim_rate": 0.25},
         )
-        series = res["baseline"]
+        series = victim_series(outcomes)["baseline"]
         assert [b for b, _, _ in series] == [1, 4]
         assert all(p90 > 0 for _, p90, _ in series)
-        assert "baseline" in format_fig9(res)
+        assert "baseline" in format_fig9(outcomes)
 
 
 class TestTables:
@@ -231,19 +234,17 @@ class TestOccupancy:
 
 class TestFatTreeExperiment:
     def test_variants_run(self):
-        from repro.experiments.fattree_exp import (
-            format_fattree,
-            run_fattree_reliability,
-        )
+        from repro.experiments.fattree_exp import format_fattree
 
-        res = run_fattree_reliability(
-            fast_base(), loads=(0.25,), variants=("baseline", "stash100")
+        outcomes = run_grid(
+            "fattree", fast_base(),
+            {"loads": (0.25,), "variants": ("baseline", "stash100")},
         )
-        for series in res.values():
-            offered, accepted, lat = series[0]
-            assert accepted == pytest.approx(offered, rel=0.15)
-            assert lat > 0
-        assert "stash100" in format_fattree(res)
+        for o in outcomes:
+            r = o.value
+            assert r.accepted_load == pytest.approx(r.offered_load, rel=0.15)
+            assert r.avg_latency > 0
+        assert "stash100" in format_fattree(outcomes)
 
 
 class TestPacedRetransmission:
@@ -317,3 +318,28 @@ class TestRunnerCli:
         assert "transients" in err
         assert "time-stepped" in err
         assert "docs/FASTPATH.md" in err
+
+    def test_seed_flag_reaches_every_sweep_point(self, monkeypatch, capsys):
+        """``--seed N`` must change the derived seed of every point the
+        runner hands the executor, not just the preset's config seed."""
+        from repro.engine import parallel
+        from repro.experiments.runner import main
+
+        real_run_point = parallel._run_point
+
+        def executor_seeds(seed: int) -> list:
+            seen = []
+
+            def spy(index, spec):
+                seen.append(spec.seed)
+                return real_run_point(index, spec)
+
+            monkeypatch.setattr(parallel, "_run_point", spy)
+            argv = ["fattree", "--engine", "flow", "--seed", str(seed)]
+            assert main(argv) == 0
+            return seen
+
+        default, other = executor_seeds(1), executor_seeds(7)
+        assert len(default) == len(other) == 6
+        assert all(a != b for a, b in zip(default, other))
+        assert executor_seeds(7) == other

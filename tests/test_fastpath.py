@@ -102,21 +102,16 @@ def test_flow_rejects_unknown_traffic():
 
 
 def test_flow_fig5_jobs_byte_identical():
-    """run_fig5 through the fastpath must produce identical results for
-    serial and 4-way-parallel execution (the determinism contract CI
+    """The fig5 grid through the fastpath must produce identical results
+    for serial and 4-way-parallel execution (the determinism contract CI
     enforces end-to-end on stdout)."""
-    from repro.experiments.fig5 import run_fig5
+    from tests.conftest import run_grid
 
     cfg = micro_config()
-    kwargs = dict(
-        loads=(0.2, 0.8),
-        variants=("baseline", "stash25"),
-        seed=3,
-        engine="flow",
-    )
-    serial = run_fig5(cfg, jobs=1, **kwargs)
-    fanned = run_fig5(cfg, jobs=4, **kwargs)
-    assert serial == fanned
+    axes = {"loads": (0.2, 0.8), "variants": ("baseline", "stash25")}
+    serial = run_grid("fig5", cfg, axes, seeds=(3,), engine="flow", jobs=1)
+    fanned = run_grid("fig5", cfg, axes, seeds=(3,), engine="flow", jobs=4)
+    assert [o.value for o in serial] == [o.value for o in fanned]
 
 
 def test_flow_result_schema_matches_cycle():

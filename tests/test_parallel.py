@@ -21,9 +21,10 @@ from repro.engine.parallel import (
     run_specs,
 )
 from repro.engine.rng import DeterministicRng
-from repro.experiments.fig5 import fig5_specs, format_fig5, run_fig5
+from repro.campaign import sweep_points
+from repro.experiments.fig5 import campaign_entries, format_fig5
 from repro.switch.damq import VcSpaceAccounting
-from tests.conftest import micro_config
+from tests.conftest import micro_config, run_grid
 
 
 # -- module-level point functions (picklable by the pool) ----------------
@@ -185,21 +186,24 @@ def _tiny_base():
 def test_fig5_jobs_invariant():
     """A scaled-down fig5 sweep is byte-identical at jobs=1 and jobs=4."""
     base = _tiny_base()
-    kwargs = dict(
-        loads=(0.3,), variants=("baseline", "stash100"), seed=9
-    )
-    serial = run_fig5(base, jobs=1, **kwargs)
-    pooled = run_fig5(base, jobs=4, **kwargs)
-    assert serial == pooled
+    axes = {"loads": (0.3,), "variants": ("baseline", "stash100")}
+    serial = run_grid("fig5", base, axes, seeds=(9,), jobs=1)
+    pooled = run_grid("fig5", base, axes, seeds=(9,), jobs=4)
+    assert [o.value for o in serial] == [o.value for o in pooled]
     assert format_fig5(serial) == format_fig5(pooled)
 
 
 def test_fig5_spec_seeds_ignore_sweep_shape():
     """A point's seed depends on its label, not its position in the sweep."""
     base = _tiny_base()
-    wide = {s.key: s.seed for s in fig5_specs(base, loads=(0.2, 0.5, 0.8))}
-    narrow = {s.key: s.seed for s in fig5_specs(base, loads=(0.5,))}
-    assert narrow[("baseline", 0.5)] == wide[("baseline", 0.5)]
+
+    def seeds(loads):
+        entries = campaign_entries(base, {"loads": loads})
+        return {p.key: p.derived_seed for p in sweep_points(base, entries)}
+
+    wide = seeds((0.2, 0.5, 0.8))
+    narrow = seeds((0.5,))
+    assert narrow[(3, "baseline", 0.5)] == wide[(3, "baseline", 0.5)]
 
 
 # -- VcSpaceAccounting fuzz ----------------------------------------------
