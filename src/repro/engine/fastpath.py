@@ -7,9 +7,10 @@ solves for the steady state directly:
 
 * **Topology graph** — the *same* topology objects the cycle engine
   wires (:mod:`repro.topology`), flattened into directed unit-capacity
-  links (injection, ejection, local, global).  Routes are minimal and
-  memoised per (source switch, destination switch); the fat-tree splits
-  flows evenly across spines (fluid ECMP).
+  links (injection, ejection, local, global).  Routes are minimal,
+  composed for every (source switch, destination switch) pair at once
+  from the topology's routing tables; the fat-tree splits flows evenly
+  across spines (fluid ECMP).
 * **Max-min fair sharing** — progressive filling: all unfrozen flows
   grow at the same rate until a link saturates or a flow reaches its
   demand, the allocation a fair per-flit arbiter converges to.
@@ -36,8 +37,10 @@ solves for the steady state directly:
   The reported numbers average the post-convergence tail of the steps.
 
 Flows live in a struct-of-arrays :class:`_FlowTable` (one column per
-flow attribute, CSR flow x link incidences for data and ACKs), and the
-solver is numpy array code over those incidences.  Every floating-point
+flow attribute, CSR flow x link incidences for data and ACKs, and the
+ACKs to each source switch's members charged once per block), built
+one traffic class at a time into preallocated columns, and the solver
+is numpy array code over those incidences.  Every floating-point
 reduction is order-fixed (``np.bincount``, ``np.add.at``,
 ``np.add.accumulate``: sequential, in flow order), never a pairwise or
 SIMD-dispatched sum, so results are a pure function of the
@@ -55,15 +58,13 @@ remain cycle-only.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.engine.base import EngineResult, EngineUnsupported, GroupStats
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.fattree import FatTreeTopology
-from repro.topology.single_switch import SingleSwitchTopology
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.config import NetworkConfig
@@ -86,6 +87,13 @@ _ECN_STEPS = 48
 _FP_STEPS = 12
 
 _EPS = 1e-12
+
+#: hops after which a route walk gives up (minimal dragonfly paths are
+#: at most 3)
+_MAX_HOPS = 8
+
+#: flows frozen per slice in max-min (bounds its temporaries)
+_FREEZE_SLICE = 1 << 16
 
 class _LinkTable:
     """Directed links with capacities, addressed by stable string keys."""
@@ -111,10 +119,16 @@ class _LinkTable:
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``."""
-    offsets = np.cumsum(lens) - lens
-    total = int(offsets[-1] + lens[-1]) if len(lens) else 0
-    return np.repeat(starts - offsets, lens) + np.arange(total)
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``,
+    as one running sum of steps (1 inside a range, a jump between)."""
+    nonempty = lens > 0
+    starts, lens = starts[nonempty], lens[nonempty]
+    out = np.ones(int(lens.sum()), dtype=np.int64)
+    if len(out):
+        out[0] = starts[0]
+        out[np.cumsum(lens[:-1])] = starts[1:] - starts[:-1] - lens[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
 
 
 def _seqsum(values: np.ndarray) -> float:
@@ -126,8 +140,8 @@ class _Incidence:
     """A flow x link incidence in CSR (by flow) and CSC (by link) order.
 
     Entry ``e`` of flow ``f`` (``ptr[f] <= e < ptr[f + 1]``) crosses
-    link ``link[e]``; ``by_link[link_ptr[l]:link_ptr[l + 1]]`` are the
-    entries on link ``l``, in ascending flow order.
+    link ``link[e]``; ``link_flow[link_ptr[l]:link_ptr[l + 1]]`` are the
+    flows on link ``l``, ascending.
     """
 
     def __init__(self, ptr: np.ndarray, link: np.ndarray,
@@ -137,10 +151,12 @@ class _Incidence:
         self.num_flows = len(ptr) - 1
         self.num_links = num_links
         self.lens = np.diff(ptr)
-        self.flow = np.repeat(
-            np.arange(self.num_flows, dtype=np.int32), self.lens
-        )
-        self.by_link = np.argsort(link, kind="stable").astype(np.int32)
+        flow = np.repeat(np.arange(self.num_flows, dtype=np.int32), self.lens)
+        # a stable sort of the narrowest key type (a radix sort for
+        # up to 65,536 links)
+        keys = link.astype(np.min_scalar_type(max(num_links - 1, 0)))
+        self.link_flow = flow[np.argsort(keys, kind="stable")]
+        del flow, keys
         self.link_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(link, minlength=num_links)))
         )
@@ -182,7 +198,7 @@ def _maxmin(
         # active flows per link: a saturated link with none left is done
         link_active = np.diff(inc.link_ptr)
     else:
-        live = active[inc.flow]
+        live = np.repeat(active, inc.lens)
         np.add.at(link_weight, inc.link[live], entry_weight[live])
         link_active = np.bincount(inc.link[live], minlength=inc.num_links)
     residual = np.array(caps, dtype=float)
@@ -192,11 +208,18 @@ def _maxmin(
     head = 0  # order[:head] holds no active flow
 
     def freeze(frozen: np.ndarray, level: float) -> None:
+        nonlocal remaining
         active[frozen] = False
         alloc[frozen] = level
-        entries = inc.entries(frozen)
-        np.subtract.at(link_weight, inc.link[entries], entry_weight[entries])
-        np.subtract.at(link_active, inc.link[entries], 1)
+        remaining -= len(frozen)
+        if not remaining:
+            return  # the link totals are not read again
+        # slice by slice, in order, to bound the entry temporaries
+        for lo in range(0, len(frozen), _FREEZE_SLICE):
+            entries = inc.entries(frozen[lo:lo + _FREEZE_SLICE])
+            links = inc.link[entries]
+            np.subtract.at(link_weight, links, entry_weight[entries])
+            np.subtract.at(link_active, links, 1)
 
     t = 0.0
     remaining = int(np.count_nonzero(active))
@@ -220,26 +243,25 @@ def _maxmin(
         t += step
         residual[loaded] -= step * link_weight[loaded]
 
+        before = remaining
         capped = order[head:np.searchsorted(thresholds, t, side="right")]
         capped = np.sort(capped[active[capped]])
         if len(capped):
             freeze(capped, t)
+            if not remaining:
+                break
         saturated = np.flatnonzero(
             (residual <= _EPS) & (link_weight > _EPS) & (link_active > 0)
         )
-        blocked = capped[:0]
         if len(saturated):
-            on_links = inc.flow[inc.by_link[_ranges(
+            on_links = inc.link_flow[_ranges(
                 inc.link_ptr[saturated], np.diff(inc.link_ptr)[saturated]
-            )]]
+            )]
             on_links = on_links[active[on_links]]
             flows, first = np.unique(on_links, return_index=True)
-            blocked = flows[np.argsort(first)]
-            freeze(blocked, t)
-        frozen = len(capped) + len(blocked)
-        if not frozen:
+            freeze(flows[np.argsort(first)], t)
+        if remaining == before:
             break  # numerical stall; allocation is already feasible
-        remaining -= frozen
     alloc[active] = t
     return alloc
 
@@ -263,46 +285,171 @@ def _weighted_percentiles(
 
 
 class _FlowTable:
-    """Every aggregated fluid flow of one run, as columns.
+    """Every aggregated fluid flow of one run, as preallocated columns.
 
     Flow ``f`` stands for ``weight[f]`` unit sources on switch
     ``src_switch[f]`` sharing one route, each offering ``demand[f]``
     flits/cycle.  Its data links are ``data_links[data_ptr[f]:
-    data_ptr[f + 1]]`` (injection, switch hops, ejection); its ACKs
-    consume ``ack_links[ack_ptr[f]:ack_ptr[f + 1]]``, each at the
-    matching ``ack_share`` of the flow's ACK rate.  ``stash_link`` is the
-    virtual stash-pool link (consumed at coefficient ``rtt``) or -1.
-    ``rtt`` and ``qdelay`` are left at their converged values by the
-    solver.
+    data_ptr[f + 1]]`` (injection, switch hops, ejection).
+    ``stash_link`` is the virtual stash-pool link (consumed at
+    coefficient ``rtt``) or -1.  ``rtt`` and ``qdelay`` are left at
+    their converged values by the solver.
+
+    A flow's ACKs (rate ``rate / msg_flits``) load its destination's
+    injection link, the reverse switch hops, and the ejection link of
+    every source member of its block (its traffic class and source
+    switch), each member at ``1 / len(members)``.  The first two are
+    per-flow entries, ``ack_links[ack_ptr[f]:ack_ptr[f + 1]]``: the
+    injection link first if ``ack_inj[f]`` (at the full ACK rate), then
+    the hops, each at ``ack_hop_share[f]`` (``1 / ECMP splits``).
+    Every flow of a block would repeat the same member list, so members
+    are charged per *member set* instead: set ``s`` is the ejection
+    links ``member_links[member_ptr[s]:
+    member_ptr[s + 1]]``, charged by the flows ``member_first[s]:
+    member_first[s] + member_count[s]`` at ``member_share[s]`` each, on
+    top of the running total of set ``member_prev[s]`` (-1: none), the
+    set an earlier class last charged those links in.  The sets of the
+    ``c``-th traffic class are ``member_class_ptr[c]:
+    member_class_ptr[c + 1]``.
     """
 
-    def __init__(
-        self, groups: list[str], chunks: list[dict[str, np.ndarray]]
-    ) -> None:
+    def __init__(self, groups: list[str], plans: list["_ClassPlan"]) -> None:
+        """Allocate the columns of ``plans``' flows (filled by the
+        engine) and gather their member sets."""
         #: group names; the ``group`` column indexes this list
         self.groups = groups
-        cols = {
-            name: np.concatenate([c[name] for c in chunks])
-            for name in chunks[0]
-        }
-        self.weight = cols["weight"]
-        self.demand = cols["demand"]
-        self.base_latency = cols["base_latency"]
-        self.msg_flits = cols["msg_flits"]
-        self.klass = cols["klass"]
-        self.group = cols["group"]
-        self.src_switch = cols["src_switch"]
-        self.data_links = cols["data_links"]
-        self.data_ptr = np.concatenate(([0], np.cumsum(cols["data_lens"])))
-        self.ack_links = cols["ack_links"]
-        self.ack_share = cols["ack_share"]
-        self.ack_ptr = np.concatenate(([0], np.cumsum(cols["ack_lens"])))
-        self.stash_link = np.full(len(self.weight), -1, dtype=np.int32)
-        self.rtt = 2.0 * self.base_latency
-        self.qdelay = np.zeros(len(self.weight))
+        num_flows = sum(p.num_flows for p in plans)
+        num_data = sum(p.num_data for p in plans)
+        num_acks = sum(p.num_acks for p in plans)
+        self.weight = np.empty(num_flows)
+        self.demand = np.empty(num_flows)
+        self.base_latency = np.empty(num_flows)
+        self.msg_flits = np.empty(num_flows, dtype=np.int64)
+        self.klass = np.empty(num_flows, dtype=np.int32)
+        self.group = np.empty(num_flows, dtype=np.int32)
+        self.src_switch = np.empty(num_flows, dtype=np.int32)
+        self.data_links = np.empty(num_data, dtype=np.int32)
+        self.data_ptr = np.zeros(num_flows + 1, dtype=np.int64)
+        self.ack_links = np.empty(num_acks, dtype=np.int32)
+        self.ack_inj = np.empty(num_flows, dtype=bool)
+        self.ack_hop_share = np.empty(num_flows)
+        self.ack_ptr = np.zeros(num_flows + 1, dtype=np.int64)
+        self.stash_link = np.full(num_flows, -1, dtype=np.int32)
+        self.rtt = np.empty(num_flows)
+        self.qdelay = np.zeros(num_flows)
+        first_flow = np.cumsum([0] + [p.num_flows for p in plans])
+        self.member_ptr = np.concatenate(
+            ([0], np.cumsum(np.concatenate([p.member_sizes for p in plans])))
+        )
+        self.member_links = np.concatenate([p.member_links for p in plans])
+        self.member_share = np.concatenate([p.member_share for p in plans])
+        self.member_prev = np.concatenate([p.member_prev for p in plans])
+        self.member_first = np.concatenate(
+            [p.member_first + f0 for p, f0 in zip(plans, first_flow)]
+        )
+        self.member_count = np.concatenate([p.member_count for p in plans])
+        self.member_class_ptr = np.cumsum(
+            [0] + [len(p.member_share) for p in plans]
+        )
 
     def __len__(self) -> int:
         return len(self.weight)
+
+
+class _AckLoad:
+    """The ACK background load per link of a :class:`_FlowTable`, as a
+    function of the per-flow rates.
+
+    Each link's load is the sequential sum of its charges in flow order
+    (what one ``np.add.at`` over every flow's full ACK list would
+    compute).  A member set's charges are summed in one ``np.bincount``
+    bin that starts with its ``member_prev`` total, so a link charged by
+    several classes continues one running sum; the sets of one class
+    are summed together once the earlier classes' totals are known.
+    """
+
+    def __init__(self, flows: _FlowTable, num_links: int) -> None:
+        self.flows = flows
+        self.num_links = num_links
+        self.msg = flows.msg_flits.astype(float)
+        self.ack_lens = np.diff(flows.ack_ptr)
+        self.inj_entries = flows.ack_ptr[:-1][flows.ack_inj]
+        #: per class: (first set, end set, charging flows, their bins
+        #: after one prior slot per set, their shares)
+        self.classes: list[
+            tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+        ] = []
+        ptr = flows.member_class_ptr
+        for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
+            count = flows.member_count[lo:hi]
+            sets = np.arange(hi - lo)
+            self.classes.append((
+                lo, hi,
+                _ranges(flows.member_first[lo:hi], count),
+                np.concatenate((sets, np.repeat(sets, count))),
+                np.repeat(flows.member_share[lo:hi], count),
+            ))
+        # a link in several sets ends at its last (latest-class) total
+        sizes = np.diff(flows.member_ptr)
+        last = np.full(num_links, -1, dtype=np.int64)
+        np.maximum.at(last, flows.member_links,
+                      np.repeat(np.arange(len(sizes)), sizes))
+        self.final_links = np.flatnonzero(last >= 0)
+        self.final_sets = last[self.final_links]
+
+    def __call__(self, rate: np.ndarray) -> np.ndarray:
+        flows = self.flows
+        unit = rate / self.msg
+        acks = np.repeat(unit * flows.ack_hop_share, self.ack_lens)
+        acks[self.inj_entries] = unit[flows.ack_inj]
+        load = np.zeros(self.num_links)
+        np.add.at(load, flows.ack_links, acks)
+        totals = np.zeros(len(flows.member_share))
+        for lo, hi, charging, bins, share in self.classes:
+            prev = flows.member_prev[lo:hi]
+            prior = np.where(prev >= 0, totals[prev], 0.0)
+            totals[lo:hi] = np.bincount(
+                bins, weights=np.concatenate((prior, unit[charging] * share)),
+                minlength=hi - lo,
+            )
+        load[self.final_links] = totals[self.final_sets]
+        return load
+
+
+class _ClassPlan(NamedTuple):
+    """One traffic class's flows before the table is allocated.
+
+    One *entry* per (source switch, destination node) pair with at
+    least one source that is not the destination, in source switch,
+    then destination order; an entry becomes one flow per route.
+    """
+
+    klass: int
+    group: int
+    unit: float
+    msg_flits: int
+    outstanding_flits: int | None
+    #: per switch: the class's injection link there (-1: none)
+    inj_of: np.ndarray
+    # per entry
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    #: the injection link its ACKs charge (-1: none)
+    dst_inj: np.ndarray
+    num_routes: np.ndarray
+    # sizes of the class's part of the table
+    num_flows: int
+    num_data: int
+    num_acks: int
+    # the class's member sets (see _FlowTable); flows count from the
+    # class's first
+    member_links: np.ndarray
+    member_sizes: np.ndarray
+    member_share: np.ndarray
+    member_prev: np.ndarray
+    member_first: np.ndarray
+    member_count: np.ndarray
 
 
 class _RouteTable:
@@ -310,46 +457,42 @@ class _RouteTable:
     switches, computed once per run; pair ``(a, b)`` is ``a * S + b``.
 
     Pair ``p`` owns routes ``route_ptr[p]:route_ptr[p] + num_routes[p]``
-    (ECMP splits; one elsewhere); route ``r`` crosses
-    ``hops[hop_ptr[r]:hop_ptr[r] + hop_lens[r]]``, with summed hop
-    latency ``hop_latency[r]`` and ``hop_count[r]`` switch traversals.
-    A pair's routes are contiguous in ``hops`` too, so the ACK path of
-    ``(b, a)`` — every route's hops, each at share ``1 / num_routes`` —
-    is ``hops[pair_hop_ptr[p]:pair_hop_ptr[p] + pair_hop_lens[p]]``.
+    (ECMP splits; one elsewhere).  Route ``r`` crosses the first
+    ``hop_lens[r]`` links of row ``hop_links[r]`` (padded with -1),
+    with summed hop latency ``hop_latency[r]`` and ``hop_count[r]``
+    switch traversals.  Row ``pair_hops[p]`` is the hops of every route
+    of ``p`` in route order (each route's padding kept; -1 is skipped),
+    ``pair_hop_lens[p]`` links in all: the ACK path of pair ``(b, a)``,
+    each hop at share ``1 / num_routes``.
     """
 
     def __init__(
-        self, num_switches: int,
-        pair_routes: Iterable[
-            tuple[int, list[tuple[list[tuple[int, float]], float]]]
-        ],
+        self, num_switches: int, num_routes: np.ndarray,
+        hop_links: np.ndarray, hop_latency: np.ndarray,
     ) -> None:
-        """``pair_routes`` yields (pair, routes) in ascending pair order."""
+        """Route ``r`` is row ``r`` of the (routes x hops) matrices, in
+        pair order: its links up to the first -1, at ``hop_latency``."""
         self.num_switches = num_switches
-        num_routes = [0] * num_switches ** 2
-        hop_lens: list[int] = []
-        hops: list[int] = []
-        hop_latency: list[float] = []
-        hop_count: list[float] = []
-        for pair, routes in pair_routes:
-            num_routes[pair] = len(routes)
-            for route, count in routes:
-                hop_lens.append(len(route))
-                hops.extend(l for l, _lat in route)
-                hop_latency.append(sum(h_lat for _l, h_lat in route))
-                hop_count.append(count)
-        self.num_routes = np.array(num_routes, dtype=np.int64)
-        self.route_ptr = np.cumsum(self.num_routes) - self.num_routes
-        self.hop_lens = np.array(hop_lens, dtype=np.int64)
-        hop_end = np.concatenate(([0], np.cumsum(self.hop_lens)))
-        self.hop_ptr = hop_end[:-1]
-        self.hops = np.array(hops, dtype=np.int32)
-        self.hop_latency = np.array(hop_latency, dtype=float)
-        self.hop_count = np.array(hop_count, dtype=float)
-        self.pair_hop_ptr = hop_end[self.route_ptr]
-        self.pair_hop_lens = (
-            hop_end[self.route_ptr + self.num_routes] - self.pair_hop_ptr
+        self.num_routes = num_routes
+        self.route_ptr = np.cumsum(num_routes) - num_routes
+        self.hop_links = hop_links.astype(np.int32)
+        self.hop_lens = (hop_links >= 0).sum(axis=1)
+        # added hop by hop, in route order (padding adds 0.0)
+        self.hop_latency = np.zeros(len(hop_links))
+        for column in hop_latency.T:
+            self.hop_latency += column
+        self.hop_count = self.hop_lens + 1.0
+        width = hop_links.shape[1]
+        self.pair_hops = np.full(
+            (len(num_routes), int(num_routes.max()) * width), -1,
+            dtype=np.int32,
         )
+        for k in range(int(num_routes.max())):
+            split = num_routes > k
+            self.pair_hops[split, k * width:(k + 1) * width] = (
+                self.hop_links[self.route_ptr[split] + k]
+            )
+        self.pair_hop_lens = (self.pair_hops >= 0).sum(axis=1)
         with np.errstate(divide="ignore"):
             self.share = 1.0 / self.num_routes
 
@@ -361,14 +504,20 @@ class FlowEngine:
 
     def __init__(self) -> None:
         #: per-run node columns: switch, endpoint latency, ejection link,
-        #: and the class injection link last registered for the node
-        #: (-1 while unregistered; for ACK contention)
+        #: the class injection link last registered for the node (-1
+        #: while unregistered; for ACK contention), and the member set
+        #: that last charged its ejection link with ACKs (-1: none)
         self._node_switch = np.zeros(0, dtype=np.int64)
         self._ej_latency = np.zeros(0)
         self._ej_link = np.zeros(0, dtype=np.int64)
         self._node_inj = np.zeros(0, dtype=np.int64)
-        #: per-run routes of every switch pair, built on first use
-        self._routes: _RouteTable | None = None
+        self._member_set = np.zeros(0, dtype=np.int64)
+        self._num_sets = 0
+        #: per-run (switch, port) tables of the switch-to-switch links:
+        #: link id (-1: none), latency and peer switch
+        self._port_link = np.zeros((0, 0), dtype=np.int64)
+        self._port_latency = np.zeros((0, 0))
+        self._port_peer = np.zeros((0, 0), dtype=np.int64)
         #: latency group names of this run's flows (``""``: untracked)
         self._groups: list[str] = []
 
@@ -378,72 +527,123 @@ class FlowEngine:
 
     def _build_graph(self, topo: "Topology", links: _LinkTable) -> None:
         """One directed unit-capacity link per wired switch port."""
+        shape = (topo.num_switches, topo.num_ports)
+        self._port_link = np.full(shape, -1, dtype=np.int64)
+        self._port_latency = np.zeros(shape)
+        self._port_peer = np.full(shape, -1, dtype=np.int64)
         for s in range(topo.num_switches):
             for spec in topo.switch_ports(s):
                 if spec.link_class in ("local", "global"):
-                    links.add(f"l:{s}.{spec.port}", 1.0)
+                    assert spec.peer is not None
+                    port = spec.port
+                    self._port_link[s, port] = links.add(f"l:{s}.{port}", 1.0)
+                    self._port_latency[s, port] = float(spec.latency)
+                    if spec.peer[0] == "switch":
+                        self._port_peer[s, port] = spec.peer[1]
 
-    def _route(
-        self, topo: "Topology", src_switch: int, dst_switch: int,
-        links: _LinkTable,
-    ) -> tuple[list[tuple[int, float]], float]:
-        """Minimal switch-to-switch hops: ([(link id, latency)], #switches)."""
-        if isinstance(topo, SingleSwitchTopology) or src_switch == dst_switch:
-            return [], 1.0
-        if isinstance(topo, DragonflyTopology):
-            hops: list[tuple[int, float]] = []
-            cur = src_switch
-            dst_group = topo.group_of(dst_switch)
-            while cur != dst_switch:
-                if topo.group_of(cur) == dst_group:
-                    port = topo.local_port(cur, dst_switch)
-                else:
-                    port = topo.route_to_group(cur, dst_group)
-                spec = topo.port_spec(cur, port)
-                assert spec.peer is not None and spec.peer[0] == "switch"
-                hops.append((links.id(f"l:{cur}.{port}"), float(spec.latency)))
-                cur = spec.peer[1]
-                if len(hops) > 8:  # minimal dragonfly paths are <= 3 hops
-                    raise EngineUnsupported(
-                        "flow routing failed to converge on this topology"
-                    )
-            return hops, float(len(hops) + 1)
-        raise EngineUnsupported(
-            f"flow engine has no routes for {type(topo).__name__}"
-        )
-
-    def _fattree_routes(
-        self, topo, src_leaf: int, dst_leaf: int, links: _LinkTable
-    ) -> list[tuple[list[tuple[int, float]], float]]:
-        """All spine routes leaf->spine->leaf (fluid ECMP splits)."""
-        routes = []
-        for spine in range(topo.num_spines):
-            spine_sw = topo.num_leaves + spine
-            up = links.id(f"l:{src_leaf}.{topo.uplink_port(src_leaf, spine)}")
-            down = links.id(
-                f"l:{spine_sw}.{topo.downlink_port(spine_sw, dst_leaf)}"
+    def _route(self, topo: "Topology", links: _LinkTable) -> _RouteTable:
+        """Minimal routes of every node-hosting switch pair, composed for
+        all pairs at once: none within a switch, next-hop expansion on
+        the dragonfly, one route per spine on the fat tree."""
+        size = topo.num_switches
+        hosts = np.unique(self._node_switch)
+        src = np.repeat(hosts, len(hosts))
+        dst = np.tile(hosts, len(hosts))
+        far = src != dst
+        splits = 1
+        hop_links = np.zeros((0, 0), dtype=np.int64)
+        hop_latency = np.zeros((0, 0))
+        if not far.any():
+            pass
+        elif isinstance(topo, DragonflyTopology):
+            hop_links, hop_latency = self._dragonfly_hops(
+                topo, src[far], dst[far]
             )
-            lat = float(topo.latency_up)
-            routes.append(([(up, lat), (down, lat)], 3.0))
-        return routes
+        elif isinstance(topo, FatTreeTopology):
+            splits = topo.num_spines
+            hop_links, hop_latency = self._fattree_hops(
+                topo, src[far], dst[far]
+            )
+        else:
+            raise EngineUnsupported(
+                f"flow engine has no routes for {type(topo).__name__}"
+            )
+        per_pair = np.where(far, splits, 1)
+        num_routes = np.zeros(size * size, dtype=np.int64)
+        num_routes[src * size + dst] = per_pair
+        far_rows = np.repeat(far, per_pair)
+        rows = (len(far_rows), hop_links.shape[1])
+        all_links = np.full(rows, -1, dtype=np.int64)
+        all_links[far_rows] = hop_links
+        all_latency = np.zeros(rows)
+        all_latency[far_rows] = hop_latency
+        return _RouteTable(size, num_routes, all_links, all_latency)
 
-    def _switch_routes(
-        self, topo, src_switch: int, dst_switch: int, links: _LinkTable
-    ) -> list[tuple[list[tuple[int, float]], float]]:
-        if isinstance(topo, FatTreeTopology) and src_switch != dst_switch:
-            return self._fattree_routes(topo, src_switch, dst_switch, links)
-        return [self._route(topo, src_switch, dst_switch, links)]
+    def _dragonfly_hops(
+        self, topo: DragonflyTopology, src: np.ndarray, dst: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hop by hop for every pair at once: through the topology's
+        group-routing table towards another group, then its local port
+        to the destination.  One row of (links, latencies) per pair,
+        padded with -1 and 0.0."""
+        size = topo.num_switches
+        group = np.array([topo.group_of(s) for s in range(size)])
+        slot = np.array([topo.pos_in_group(s) for s in range(size)])
+        to_group = np.full((size, topo.g), -1, dtype=np.int64)
+        to_peer = np.full((size, topo.a), -1, dtype=np.int64)
+        mates: dict[int, list[int]] = {}
+        for s in range(size):
+            mates.setdefault(int(group[s]), []).append(s)
+        for s in range(size):
+            home = int(group[s])
+            for g in range(topo.g):
+                if g != home:
+                    to_group[s, g] = topo.route_to_group(s, g)
+            for peer in mates[home]:
+                if peer != s:
+                    to_peer[s, slot[peer]] = topo.local_port(s, peer)
 
-    def _route_table(self, topo, links: _LinkTable) -> _RouteTable:
-        """Every node-hosting switch pair's routes (computed once)."""
-        if self._routes is None:
-            hosts = np.unique(self._node_switch).tolist()
-            size = topo.num_switches
-            self._routes = _RouteTable(size, (
-                (a * size + b, self._switch_routes(topo, a, b, links))
-                for a in hosts for b in hosts
-            ))
-        return self._routes
+        links: list[np.ndarray] = []
+        latency: list[np.ndarray] = []
+        cur = src.copy()
+        live = np.arange(len(src))
+        for _hop in range(_MAX_HOPS):
+            if not len(live):
+                break
+            at, to = cur[live], dst[live]
+            port = np.where(group[at] == group[to], to_peer[at, slot[to]],
+                            to_group[at, group[to]])
+            nxt = self._port_peer[at, port]
+            hop = np.full(len(src), -1, dtype=np.int64)
+            hop[live] = self._port_link[at, port]
+            links.append(hop)
+            hop_latency = np.zeros(len(src))
+            hop_latency[live] = self._port_latency[at, port]
+            latency.append(hop_latency)
+            cur[live] = nxt
+            live = live[nxt != to]
+        if len(live):
+            raise EngineUnsupported(
+                "flow routing failed to converge on this topology"
+            )
+        return np.stack(links, axis=1), np.stack(latency, axis=1)
+
+    def _fattree_hops(
+        self, topo: FatTreeTopology, src: np.ndarray, dst: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every leaf->spine->leaf route of every leaf pair, spine by
+        spine (fluid ECMP splits): one row of (links, latencies) each."""
+        leaves, spines = topo.num_leaves, topo.num_spines
+        up = np.array([[topo.uplink_port(leaf, k) for k in range(spines)]
+                       for leaf in range(leaves)])
+        down = np.array([[topo.downlink_port(leaves + k, leaf)
+                          for leaf in range(leaves)] for k in range(spines)])
+        a = np.repeat(src, spines)
+        b = np.repeat(dst, spines)
+        k = np.tile(np.arange(spines), len(src))
+        ports = ((a, up[a, k]), (leaves + k, down[k, b]))
+        return (np.stack([self._port_link[p] for p in ports], axis=1),
+                np.stack([self._port_latency[p] for p in ports], axis=1))
 
     # ------------------------------------------------------------------
     # run
@@ -474,17 +674,19 @@ class FlowEngine:
         )
         self._ej_link = np.full(total, -1, dtype=np.int64)
         self._node_inj = np.full(total, -1, dtype=np.int64)
-        self._routes = None
+        self._member_set = np.full(total, -1, dtype=np.int64)
+        self._num_sets = 0
         self._groups = []
+        routes = self._route(topo, links)
 
-        chunks: list[dict[str, np.ndarray]] = []
+        plans: list[_ClassPlan] = []
         ecn_classes: list[str] = []
         all_nodes = np.arange(total)
         for traffic in spec.traffic:
             if isinstance(traffic, UniformTraffic):
                 msg = traffic.msg_flits or cfg.switch.max_packet_flits
                 self._uniform_flows(
-                    topo, links, chunks, ecn_classes,
+                    links, routes, plans, ecn_classes,
                     nodes=all_nodes, rate=traffic.rate,
                     msg_flits=msg, group="", name="uniform",
                 )
@@ -502,12 +704,12 @@ class FlowEngine:
                 aggr = all_nodes[total - num_hot - n_aggr:total - num_hot]
                 victims = all_nodes[:total - num_hot - n_aggr]
                 self._uniform_flows(
-                    topo, links, chunks, ecn_classes,
+                    links, routes, plans, ecn_classes,
                     nodes=victims, rate=traffic.victim_rate,
                     msg_flits=msg, group="victim", name="victim",
                 )
                 self._targeted_flows(
-                    topo, links, chunks, ecn_classes,
+                    links, routes, plans, ecn_classes,
                     nodes=aggr, rate=1.0, dsts=hot,
                     msg_flits=msg, group="aggressor", name="aggressor",
                 )
@@ -515,14 +717,14 @@ class FlowEngine:
                 msg = cfg.switch.max_packet_flits
                 half = total // 2
                 self._uniform_flows(
-                    topo, links, chunks, ecn_classes,
+                    links, routes, plans, ecn_classes,
                     nodes=all_nodes[:half], rate=traffic.victim_rate,
                     msg_flits=msg, group="victim", name="victim",
                 )
                 # closed-loop burst source: two messages outstanding, so
                 # its open-loop equivalent demand is window / rtt
                 self._uniform_flows(
-                    topo, links, chunks, ecn_classes,
+                    links, routes, plans, ecn_classes,
                     nodes=all_nodes[half:], rate=1.0,
                     msg_flits=traffic.burst_flits, group="aggressor",
                     name="aggressor",
@@ -532,13 +734,12 @@ class FlowEngine:
                 raise EngineUnsupported(
                     f"flow engine cannot model traffic {traffic!r}"
                 )
-        # the route table and the per-switch blocks are construction
-        # state: free them before the solver allocates its arrays
-        self._routes = None
-        if not chunks:
+        if not plans:
             return self._empty_result(cfg)
-        flows = _FlowTable(self._groups, chunks)
-        del chunks
+        flows = self._flow_table(routes, plans)
+        # the route table and the class plans are construction state:
+        # free them before the solver allocates its arrays
+        del routes, plans
 
         if cfg.reliability.enabled and cfg.stash.enabled:
             self._attach_stash_pools(topo, cfg, links, flows)
@@ -560,42 +761,26 @@ class FlowEngine:
         spec = topo.port_spec(topo.node_switch(node), topo.node_port(node))
         return float(spec.latency)
 
-    def _inj_link(
-        self, links: _LinkTable, name: str, switch: int,
-        members: np.ndarray,
-    ) -> int:
-        inj = links.ensure(f"inj:{name}:{switch}", float(len(members)))
-        self._node_inj[members] = inj
-        return inj
-
-    def _ensure_ejection(self, links: _LinkTable, nodes: np.ndarray) -> None:
-        """Create the ejection links of ``nodes`` not yet in the table,
-        in first-use order."""
-        fresh = nodes[self._ej_link[nodes] < 0]
-        _unique, first = np.unique(fresh, return_index=True)
-        for v in fresh[np.sort(first)].tolist():
-            self._ej_link[v] = links.ensure(f"ej:{v}", 1.0)
-
     def _uniform_flows(
-        self, topo, links: _LinkTable,
-        chunks: list[dict[str, np.ndarray]], ecn_classes: list[str],
+        self, links: _LinkTable, routes: _RouteTable,
+        plans: list[_ClassPlan], ecn_classes: list[str],
         nodes: np.ndarray, rate: float, msg_flits: int, group: str,
         name: str, outstanding_flits: int | None = None,
     ) -> None:
         """Uniform-random traffic from ``nodes`` to every other node,
         aggregated per (source switch, destination node)."""
-        total = topo.num_nodes
+        total = len(self._node_switch)
         if total < 2 or rate <= 0.0 or not len(nodes):
             return
         klass = self._class_index(ecn_classes, name)
-        self._source_flows(
-            topo, links, chunks, klass, name, nodes, np.arange(total),
+        self._plan_class(
+            links, routes, plans, klass, name, nodes, np.arange(total),
             rate / (total - 1), msg_flits, group, outstanding_flits,
         )
 
     def _targeted_flows(
-        self, topo, links: _LinkTable,
-        chunks: list[dict[str, np.ndarray]], ecn_classes: list[str],
+        self, links: _LinkTable, routes: _RouteTable,
+        plans: list[_ClassPlan], ecn_classes: list[str],
         nodes: np.ndarray, rate: float, dsts: np.ndarray, msg_flits: int,
         group: str, name: str,
     ) -> None:
@@ -603,141 +788,239 @@ class FlowEngine:
         if rate <= 0.0 or not len(nodes) or not len(dsts):
             return
         klass = self._class_index(ecn_classes, name)
-        self._source_flows(
-            topo, links, chunks, klass, name, nodes, dsts,
+        self._plan_class(
+            links, routes, plans, klass, name, nodes, dsts,
             rate / len(dsts), msg_flits, group, None,
         )
 
-    def _source_flows(
-        self, topo, links: _LinkTable, chunks: list[dict[str, np.ndarray]],
-        klass: int, name: str, nodes: np.ndarray, dsts: np.ndarray,
-        unit: float, msg_flits: int, group: str,
+    def _plan_class(
+        self, links: _LinkTable, routes: _RouteTable,
+        plans: list[_ClassPlan], klass: int, name: str, nodes: np.ndarray,
+        dsts: np.ndarray, unit: float, msg_flits: int, group: str,
         outstanding_flits: int | None,
     ) -> None:
-        """One block of flows per source switch (ascending): each
-        switch's ``nodes`` to every node of ``dsts`` but themselves."""
+        """Plan one class: each source switch's ``nodes`` (a *block*,
+        ascending by switch) to every node of ``dsts`` but themselves.
+
+        ACKs ride the reverse path back to the block: the destination's
+        injection channel, the reverse switch hops and the members'
+        ejection channels.  The injection channel is charged only when
+        one is already registered for the destination when its block is
+        reached, so it depends on switch numbering (a known issue, see
+        docs/FASTPATH.md).
+        """
         if group not in self._groups:
             self._groups.append(group)
-        group_index = self._groups.index(group)
-        src_switch = self._node_switch[nodes]
-        for a in np.unique(src_switch).tolist():
-            members = nodes[src_switch == a]
-            inj = self._inj_link(links, name, a, members)
-            block = self._switch_flows(
-                topo, links, a, members, inj, dsts, unit, msg_flits,
-                outstanding_flits,
-            )
-            if block is None:
-                continue
-            count = len(block["weight"])
-            block["msg_flits"] = np.full(count, msg_flits, dtype=np.int64)
-            block["klass"] = np.full(count, klass, dtype=np.int32)
-            block["group"] = np.full(count, group_index, dtype=np.int32)
-            block["src_switch"] = np.full(count, a, dtype=np.int32)
-            chunks.append(block)
+        node_switch = self._node_switch
+        src_switch = node_switch[nodes]
+        blocks, sizes = np.unique(src_switch, return_counts=True)
+        members = nodes[np.argsort(src_switch, kind="stable")]
+        member_block = np.repeat(np.arange(len(blocks)), sizes)
+        in_class = np.zeros(len(node_switch), dtype=bool)
+        in_class[nodes] = True
 
-    def _switch_flows(
-        self, topo, links: _LinkTable, src_switch: int, members: np.ndarray,
-        inj: int, dsts: np.ndarray, unit: float, msg_flits: int,
-        outstanding_flits: int | None,
-    ) -> dict[str, np.ndarray] | None:
-        """The flows from one source switch's ``members`` to ``dsts``, in
-        destination order; fat-trees get one flow per ECMP spine split.
+        blk = np.repeat(np.arange(len(blocks)), len(dsts))
+        dst = np.tile(dsts, len(blocks))
+        dst_switch = node_switch[dst]
+        weight = sizes[blk] - ((dst_switch == blocks[blk]) & in_class[dst])
+        keep = weight > 0
+        blk, dst, dst_switch = blk[keep], dst[keep], dst_switch[keep]
+        weight = weight[keep].astype(float)
+        block_entries = np.bincount(blk, minlength=len(blocks))
+        flowing = block_entries > 0
 
-        ACKs for a flow ride the reverse path back to the source
-        members: the destination's injection channel, the reverse switch
-        hops, and the members' ejection channels.  The injection channel
-        is charged only when one is already registered for the
-        destination, so it depends on switch numbering (a known issue,
-        see docs/FASTPATH.md).
-        """
-        weight = len(members) - np.isin(dsts, members)
-        dsts = dsts[weight > 0]
-        if not len(dsts):
-            return None
-        weight = weight[weight > 0].astype(float)
-        self._ensure_ejection(
-            links, np.concatenate((dsts[:1], members, dsts[1:]))
+        inj_of = self._register_links(
+            links, routes.num_switches, name, blocks, sizes,
+            members, member_block, block_entries, dst,
         )
-        table = self._route_table(topo, links)
-        dst_switch = self._node_switch[dsts]
-        pair = src_switch * table.num_switches + dst_switch
-        back = dst_switch * table.num_switches + src_switch
-        num_routes = table.num_routes[pair]
-        dest = np.repeat(np.arange(len(dsts)), num_routes)
-        route = _ranges(table.route_ptr[pair], num_routes)
-        ej_latency = self._ej_latency[dsts]
+        # a destination's injection link is registered when the flow's
+        # block is reached iff this class registered it at or before
+        # that block, or an earlier class did
+        src = blocks[blk]
+        dst_inj = np.where(
+            in_class[dst] & (dst_switch <= src),
+            inj_of[dst_switch], self._node_inj[dst],
+        )
+        self._node_inj[nodes] = inj_of[src_switch]
+        live = flowing[member_block]
+        set_nodes, set_sizes, set_block, set_prev = self._member_sets(
+            members[live], member_block[live]
+        )
+        if not len(dst):
+            return
+
+        pair = src * routes.num_switches + dst_switch
+        back = dst_switch * routes.num_switches + src
+        num_routes = routes.num_routes[pair]
+        block_flows = np.bincount(blk, weights=num_routes,
+                                  minlength=len(blocks)).astype(np.int64)
+        num_acks = num_routes * ((dst_inj >= 0) + routes.pair_hop_lens[back])
+        plans.append(_ClassPlan(
+            klass=klass, group=self._groups.index(group), unit=unit,
+            msg_flits=msg_flits, outstanding_flits=outstanding_flits,
+            inj_of=inj_of, src=src, dst=dst, weight=weight, dst_inj=dst_inj,
+            num_routes=num_routes,
+            num_flows=int(num_routes.sum()),
+            num_data=int((routes.pair_hop_lens[pair] + 2 * num_routes).sum()),
+            num_acks=int(num_acks.sum()),
+            member_links=self._ej_link[set_nodes],
+            member_sizes=set_sizes,
+            member_share=1.0 / sizes[set_block],
+            member_prev=set_prev,
+            member_first=(np.cumsum(block_flows) - block_flows)[set_block],
+            member_count=block_flows[set_block],
+        ))
+
+    def _register_links(
+        self, links: _LinkTable, num_switches: int, name: str,
+        blocks: np.ndarray, sizes: np.ndarray, members: np.ndarray,
+        member_block: np.ndarray, block_entries: np.ndarray,
+        dst: np.ndarray,
+    ) -> np.ndarray:
+        """Register a class's links in the order a block-by-block build
+        meets them: per block its injection link, then, if it has flows,
+        the ejection links it is first to use.  Returns the injection
+        link per switch (-1: none).
+
+        ``dst`` holds the blocks' destinations, ``block_entries`` per
+        block, block by block.  The first block with flows meets its
+        first destination, its members, then its other destinations (so
+        every destination); later blocks can add only their own members.
+        """
+        fresh = np.zeros(0, dtype=np.int64)
+        fresh_block = np.zeros(0, dtype=np.int64)
+        flowing = block_entries > 0
+        if flowing.any():
+            b0 = int(np.argmax(flowing))
+            num_dsts = int(block_entries[b0])
+            later = flowing[member_block] & (member_block > b0)
+            fresh = np.concatenate((
+                dst[:1], members[member_block == b0], dst[1:num_dsts],
+                members[later],
+            ))
+            fresh_block = np.concatenate((
+                np.full(num_dsts + int(sizes[b0]), b0), member_block[later],
+            ))
+            new = self._ej_link[fresh] < 0
+            fresh, fresh_block = fresh[new], fresh_block[new]
+            first = np.sort(np.unique(fresh, return_index=True)[1])
+            fresh, fresh_block = fresh[first], fresh_block[first]
+        bounds = np.searchsorted(fresh_block, np.arange(len(blocks) + 1))
+        fresh_nodes = fresh.tolist()
+        inj_of = np.full(num_switches, -1, dtype=np.int64)
+        for b, a in enumerate(blocks.tolist()):
+            inj_of[a] = links.ensure(f"inj:{name}:{a}", float(sizes[b]))
+            for v in fresh_nodes[bounds[b]:bounds[b + 1]]:
+                self._ej_link[v] = links.add(f"ej:{v}", 1.0)
+        return inj_of
+
+    def _member_sets(
+        self, nodes: np.ndarray, block: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Split the members (``nodes`` of blocks ``block``) of a class's
+        blocks with flows into member sets: the members of one block
+        whose ejection links the same earlier set last charged.
+
+        Returns the member nodes set by set, the set sizes, each set's
+        block and the set it continues (-1: none), and numbers the sets
+        on from the earlier classes'.
+        """
+        prev = self._member_set[nodes]
+        order = np.lexsort((prev, block))
+        nodes, block, prev = nodes[order], block[order], prev[order]
+        starts = np.ones(len(nodes), dtype=bool)
+        starts[1:] = (block[1:] != block[:-1]) | (prev[1:] != prev[:-1])
+        self._member_set[nodes] = self._num_sets + np.cumsum(starts) - 1
+        self._num_sets += int(np.count_nonzero(starts))
+        sizes = np.diff(np.flatnonzero(np.append(starts, True)))
+        return nodes, sizes, block[starts], prev[starts]
+
+    def _flow_table(
+        self, routes: _RouteTable, plans: list[_ClassPlan]
+    ) -> _FlowTable:
+        """Allocate the flow table once and fill it class by class."""
+        flows = _FlowTable(self._groups, plans)
+        f0 = 0
+        for plan in plans:
+            self._fill(flows, routes, plan, f0)
+            f0 += plan.num_flows
+        return flows
+
+    def _fill(
+        self, flows: _FlowTable, routes: _RouteTable, plan: _ClassPlan,
+        f0: int,
+    ) -> None:
+        """Write one class's flows from flow ``f0`` on, one flow per
+        route of each planned entry (destination order; fat-trees split
+        by ECMP spine)."""
+        d0, a0 = flows.data_ptr[f0], flows.ack_ptr[f0]
+        size = routes.num_switches
+        dst_switch = self._node_switch[plan.dst]
+        pair = plan.src * size + dst_switch
+        back = dst_switch * size + plan.src
+        dest = np.repeat(np.arange(len(pair)), plan.num_routes)
+        route = _ranges(routes.route_ptr[pair], plan.num_routes)
+        f1 = f0 + len(route)
+        msg_flits = plan.msg_flits
+        ej_latency = self._ej_latency[plan.dst]
         # injection + ejection channels, hops, switch traversals, message
-        latency = (
+        flows.base_latency[f0:f1] = (
             ej_latency[dest] * 2.0
-            + table.hop_latency[route]
-            + table.hop_count[route] * _HOP_CYCLES
+            + routes.hop_latency[route]
+            + routes.hop_count[route] * _HOP_CYCLES
             + float(msg_flits)
         )
-        if outstanding_flits is None:
-            demand = np.full(len(route), unit)
+        flows.rtt[f0:f1] = 2.0 * flows.base_latency[f0:f1]
+        if plan.outstanding_flits is None:
+            flows.demand[f0:f1] = plan.unit
         else:
             # closed loop: at most outstanding_flits in flight per
             # source, spread over its destinations (at the first
             # route's zero-load round trip)
-            first = table.route_ptr[pair]
+            first = routes.route_ptr[pair]
             probe = (
                 ej_latency * 2.0
-                + table.hop_latency[first]
-                + table.hop_count[first] * _HOP_CYCLES
+                + routes.hop_latency[first]
+                + routes.hop_count[first] * _HOP_CYCLES
                 + float(msg_flits)
             )
-            demand = np.minimum(
-                unit,
-                outstanding_flits / (2.0 * probe) / (topo.num_nodes - 1),
+            flows.demand[f0:f1] = np.minimum(
+                plan.unit,
+                plan.outstanding_flits / (2.0 * probe)
+                / (len(self._node_switch) - 1),
             )[dest]
+        flows.weight[f0:f1] = plan.weight[dest] * routes.share[pair][dest]
+        flows.msg_flits[f0:f1] = msg_flits
+        flows.klass[f0:f1] = plan.klass
+        flows.group[f0:f1] = plan.group
+        flows.src_switch[f0:f1] = plan.src[dest]
 
-        hop_lens = table.hop_lens[route]
-        data_lens = hop_lens + 2
-        starts = np.cumsum(data_lens) - data_lens
-        data_links = np.empty(int(data_lens.sum()), dtype=np.int32)
-        data_links[starts] = inj
-        data_links[_ranges(starts + 1, hop_lens)] = table.hops[
-            _ranges(table.hop_ptr[route], hop_lens)
-        ]
-        data_links[starts + data_lens - 1] = self._ej_link[dsts][dest]
-
-        # one ACK list per destination, shared by its ECMP splits
-        dst_inj = self._node_inj[dsts]
-        has_inj = dst_inj >= 0
-        back_lens = table.pair_hop_lens[back]
-        ack_lens = has_inj + back_lens + len(members)
-        ack_starts = np.cumsum(ack_lens) - ack_lens
-        ack_links = np.empty(int(ack_lens.sum()), dtype=np.int32)
-        ack_share = np.empty(len(ack_links))
-        ack_links[ack_starts[has_inj]] = dst_inj[has_inj]
-        ack_share[ack_starts[has_inj]] = 1.0
-        pos = _ranges(ack_starts + has_inj, back_lens)
-        ack_links[pos] = table.hops[
-            _ranges(table.pair_hop_ptr[back], back_lens)
-        ]
-        ack_share[pos] = np.repeat(table.share[back], back_lens)
-        pos = _ranges(
-            ack_starts + has_inj + back_lens,
-            np.full(len(dsts), len(members)),
+        # data links: injection, the route's hops, ejection
+        hop_lens = routes.hop_lens[route]
+        data = np.full((len(route), routes.hop_links.shape[1] + 2), -1,
+                       dtype=np.int32)
+        data[:, 0] = plan.inj_of[plan.src][dest]
+        data[:, 1:-1] = routes.hop_links[route]
+        data[np.arange(len(route)), hop_lens + 1] = (
+            self._ej_link[plan.dst][dest]
         )
-        ack_links[pos] = np.tile(self._ej_link[members], len(dsts))
-        ack_share[pos] = 1.0 / len(members)
-        if (num_routes != 1).any():
-            pos = _ranges(ack_starts[dest], ack_lens[dest])
-            ack_links, ack_share = ack_links[pos], ack_share[pos]
-            ack_lens = ack_lens[dest]
+        flows.data_ptr[f0 + 1:f1 + 1] = d0 + np.cumsum(hop_lens + 2)
+        flows.data_links[d0:flows.data_ptr[f1]] = data[data >= 0]
+        del data
 
-        return {
-            "weight": weight[dest] * table.share[pair][dest],
-            "demand": demand,
-            "base_latency": latency,
-            "data_links": data_links,
-            "data_lens": data_lens,
-            "ack_links": ack_links,
-            "ack_share": ack_share,
-            "ack_lens": ack_lens,
-        }
+        # ACK links: the destination's injection link (when charged),
+        # then the reverse path; every ECMP split carries them all
+        back = back[dest]
+        acks = np.empty((len(route), routes.pair_hops.shape[1] + 1),
+                        dtype=np.int32)
+        acks[:, 0] = plan.dst_inj[dest]
+        acks[:, 1:] = routes.pair_hops[back]
+        flows.ack_inj[f0:f1] = acks[:, 0] >= 0
+        flows.ack_hop_share[f0:f1] = routes.share[back]
+        flows.ack_ptr[f0 + 1:f1 + 1] = a0 + np.cumsum(
+            flows.ack_inj[f0:f1] + routes.pair_hop_lens[back]
+        )
+        flows.ack_links[a0:flows.ack_ptr[f1]] = acks[acks >= 0]
 
     def _attach_stash_pools(
         self, topo, cfg, links: _LinkTable, flows: _FlowTable
@@ -783,11 +1066,15 @@ class FlowEngine:
         data_links = flows.data_links
         data_lens = np.diff(flows.data_ptr)
         data_flow = np.repeat(np.arange(n, dtype=np.int32), data_lens)
-        ack_lens = np.diff(flows.ack_ptr)
-        msg = flows.msg_flits.astype(float)
-        # per-link queueing terms are computed once per message size
-        msg_sizes, msg_index = np.unique(msg, return_inverse=True)
-        entry_msg = np.repeat(msg_index.astype(np.int32), data_lens)
+        ack = _AckLoad(flows, num_links)
+        # per-link queueing terms are computed once per message size;
+        # entry e reads row msg(e), column data_links[e] of that table
+        msg_sizes, msg_index = np.unique(ack.msg, return_inverse=True)
+        entry_queue = np.repeat(
+            (msg_index * num_links).astype(np.int32), data_lens
+        )
+        entry_queue += data_links
+        del msg_index
 
         # the max-min incidence: each flow's data links, then its stash
         # pool link, whose coefficient (rtt) is refreshed every step
@@ -798,12 +1085,13 @@ class FlowEngine:
         link[_ranges(ptr[:-1], data_lens)] = data_links
         stash_pos = ptr[1:][pooled] - 1
         link[stash_pos] = flows.stash_link[pooled]
+        del lens
         inc = _Incidence(ptr, link, num_links)
-        entry_weight = flows.weight[inc.flow]
+        entry_weight = np.repeat(flows.weight, inc.lens)
 
         ack_load = np.zeros(num_links)
         buffer_cap = float(cfg.switch.input_buffer_flits)
-        tail: list[np.ndarray] = []
+        tail = np.zeros(n)  # sum of the kept steps' allocations
         alloc = np.zeros(n)
         util = np.zeros(num_links)
         for step in range(steps):
@@ -832,17 +1120,13 @@ class FlowEngine:
                 0.5 * rho / (1.0 - rho) * msg_sizes[:, None], buffer_cap
             )
             queue[:, rho <= 0.0] = 0.0
-            flows.qdelay = np.bincount(
-                data_flow, weights=queue[entry_msg, data_links], minlength=n
-            )
+            flows.qdelay = np.zeros(n)
+            np.add.at(flows.qdelay, data_flow, queue.ravel()[entry_queue])
             flows.rtt = 0.5 * flows.rtt + 0.5 * (
                 2.0 * (flows.base_latency + flows.qdelay)
             )
             # next step's ACK background load (priority traffic)
-            acks = np.repeat(rate / msg, ack_lens)
-            acks *= flows.ack_share
-            ack_load = np.zeros(num_links)
-            np.add.at(ack_load, flows.ack_links, acks)
+            ack_load = ack(rate)
             if ecn_on:
                 congested = np.zeros(len(ecn_classes), dtype=bool)
                 hot = data_flow[util[data_links] >= _ECN_UTILIZATION]
@@ -858,14 +1142,11 @@ class FlowEngine:
                             float(ecn.window_max_flits),
                             windows[k] + float(ecn.recovery_flits),
                         )
-            if step >= keep_from:
-                tail.append(alloc)
-        if tail:
-            acc = tail[0].copy()
-            for step_alloc in tail[1:]:
-                acc += step_alloc
-            alloc = acc / len(tail)
-        return alloc, util
+            if step == keep_from:
+                tail = alloc.copy()
+            elif step > keep_from:
+                tail += alloc
+        return tail / (steps - keep_from), util
 
     # ------------------------------------------------------------------
     # result assembly

@@ -115,7 +115,7 @@ def _solve(entries, weights, caps, demand_caps) -> np.ndarray:
                     dtype=np.int32)
     coeffs = np.array([c for _l, cs in entries for c in cs], dtype=float)
     inc = _Incidence(ptr, link, len(caps))
-    entry_weight = np.array(weights)[inc.flow] * coeffs
+    entry_weight = np.repeat(np.array(weights), inc.lens) * coeffs
     return _maxmin(inc, entry_weight, np.array(caps), np.array(demand_caps))
 
 
