@@ -12,10 +12,12 @@ non-conflicting order.
 This module is a functional model of that memory: it allocates flit
 storage at two-flit page granularity on either side of a movable
 partition point and schedules per-cycle accesses with bank-conflict
-arbitration.  The cycle-level switch model uses it for capacity
-bookkeeping and the tests use it to validate the isolation claims; the
+arbitration.  The tests use it to validate the isolation claims, and the
 conflict scheduler demonstrates that the paper's four-port access pattern
-sustains full throughput.
+sustains full throughput.  The cycle-level switch model does not
+instantiate it: it takes only the two-flit page size (``PAGE_FLITS``),
+which rounds every stash partition and stored packet to whole pages
+(:mod:`repro.core.stash`).
 """
 
 from __future__ import annotations

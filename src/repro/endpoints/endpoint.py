@@ -24,7 +24,8 @@ from repro.engine.channel import Channel, CreditChannel
 from repro.obs.events import EventTrace
 from repro.protocol.ecn import EcnWindows
 from repro.protocol.ordering import ReorderBuffer
-from repro.switch.damq import DamqMirror
+from repro.switch.arbiters import RoundRobinArbiter
+from repro.switch.damq import VcSpaceAccounting
 from repro.switch.flit import Message, Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +53,7 @@ class Endpoint:
         "_rr_members",
         "ack_queue",
         "_streams",
-        "_inject_rr",
+        "_inject_arbiter",
         "ecn",
         "reorder",
         "acks_enabled",
@@ -81,7 +82,8 @@ class Endpoint:
         self.flit_out: Channel | None = None
         self.credit_in: CreditChannel | None = None
         self.flit_in: Channel | None = None
-        self.mirror: DamqMirror | None = None
+        # credit mirror of the first-hop switch's input buffer
+        self.mirror: VcSpaceAccounting | None = None
         # event trace when obs tracing is enabled, else None (zero cost)
         self.obs: EventTrace | None = None
 
@@ -93,7 +95,9 @@ class Endpoint:
         # ACK streams interleave on the channel (per-VC wormhole), so a
         # credit-stalled data packet can never block ACK injection
         self._streams: dict[int, list] = {}  # vc -> [pkt, next_idx]
-        self._inject_rr = 0
+        # round-robin over the injection VCs (data and ACK) sharing the
+        # channel
+        self._inject_arbiter = RoundRobinArbiter(2)
         self.ecn = EcnWindows(network.config.ecn)
         ordering = network.config.ordering
         self.reorder: ReorderBuffer | None = (
@@ -236,10 +240,9 @@ class Endpoint:
         if ch is not None and self.mirror is not None:
             q = ch._queue
             if q and q[0][0] <= cycle:
-                release = self.mirror.space.release
+                release = self.mirror.release
                 while q and q[0][0] <= cycle:
-                    vc, n = q.popleft()[1]
-                    release(vc, n)
+                    release(q.popleft()[1][0])  # one flit per credit
         ch = self.flit_in
         if ch is None:
             return
@@ -324,36 +327,16 @@ class Endpoint:
             self._start_next_data(cycle)
         if not streams:
             return
-        assert self.mirror is not None
-        # single-flit credit check, inlined from the mirror's accounting
-        space = self.mirror.space
-        committed = space.committed
-        reserves = space.reserves
-        shared_free = space._shared_used < space.shared_capacity
-        eligible = [
-            vc for vc in streams
-            if shared_free or committed[vc] < reserves[vc]
-        ]
+        mirror = self.mirror
+        assert mirror is not None
+        has_credit = mirror.can_admit
+        eligible = [vc for vc in streams if has_credit(vc)]
         if not eligible:
             return
-        # round-robin the channel between the active VC streams
-        if len(eligible) == 1:
-            vc = eligible[0]
-        else:
-            rr = self._inject_rr
-            vc = min(eligible, key=lambda v: (v - rr) % 8)
-        self._inject_rr = (vc + 1) % 8
+        vc = self._inject_arbiter.pick(eligible)
+        mirror.admit(vc)
         stream = streams[vc]
         pkt, idx = stream
-        # inline debit_flit(vc): the credit check above guarantees space
-        occ = committed[vc]
-        committed[vc] = occ + 1
-        if occ >= reserves[vc]:
-            space._shared_used += 1
-        total = space._total + 1
-        space._total = total
-        if total > space.peak_committed:
-            space.peak_committed = total
         flit = pkt.flits[idx]
         self.flit_out.send((vc, flit), cycle)
         self.flits_injected += 1

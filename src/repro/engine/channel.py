@@ -113,10 +113,8 @@ class Channel(Generic[T]):
 class CreditChannel(Channel[Any]):
     """Reverse-direction credit wire paired with a flit channel.
 
-    Credits are ``(vc, flits)`` tuples; the receiving output port applies
-    them to its mirror of the downstream input buffer.
+    A credit is a ``(vc, 1)`` tuple returning one flit of VC ``vc``'s
+    space; the receiving port releases it from its mirror of the
+    downstream input buffer.  Link-protocol control messages ride the
+    same wire as ``(-1, message)``.
     """
-
-    def send_credit(self, vc: int, flits: int, cycle: int) -> None:
-        """Return ``flits`` credits for VC ``vc`` upstream."""
-        self.send((vc, flits), cycle)

@@ -32,7 +32,7 @@ from repro.obs.observer import NetworkObserver
 from repro.routing import make_dragonfly_router
 from repro.routing.routing import Router
 from repro.routing.single_switch_routing import SingleSwitchRouter
-from repro.switch.damq import DamqMirror
+from repro.switch.damq import VcSpaceAccounting
 from repro.switch.flit import Message, Packet
 from repro.switch.stashing_switch import StashingSwitch
 from repro.switch.tiled_switch import TiledSwitch
@@ -207,7 +207,7 @@ class Network:
                     ep.credit_in = inj_credit
                     op.flit_out = ej
                     ep.flit_in = ej
-                    ep.mirror = DamqMirror(
+                    ep.mirror = VcSpaceAccounting(
                         total_vcs, ip.damq.capacity, ip.damq.space.reserves
                     )
                     op.mirror = None  # endpoints always sink
@@ -234,7 +234,7 @@ class Network:
             inp.flit_in = flit_ch
             inp.credit_out = credit_ch
             out.credit_in = credit_ch
-            out.mirror = DamqMirror(
+            out.mirror = VcSpaceAccounting(
                 total_vcs, inp.damq.capacity, inp.damq.space.reserves
             )
             out.retention = 2 * latency + 4

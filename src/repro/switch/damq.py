@@ -1,4 +1,4 @@
-"""Dynamically Allocated Multi-Queue (DAMQ) buffers and credit mirrors.
+"""Dynamically Allocated Multi-Queue (DAMQ) buffers and their space accounting.
 
 The paper's ports share one physical memory among six network VCs using a
 DAMQ (Tamir & Frazier), and the stashing switch carves a stash partition
@@ -11,12 +11,20 @@ Flow-control discipline
 -----------------------
 Credits are **flit-granular**, as in BookSim: a flit (head or body) may
 advance into a downstream buffer whenever at least one slot is available
-to its VC (tracked upstream through a :class:`DamqMirror`); credits
-return one per flit as flits *leave* the downstream buffer.  Wormhole
-packets therefore trickle through minimal free space, and the per-VC
-private reserves needed for deadlock freedom are one or two flits rather
-than whole packets, keeping the shared pool — and thus the queueing depth
+to its VC; credits return one per flit as flits *leave* the downstream
+buffer.  The upstream sender tracks the downstream buffer through a
+*credit mirror*: a plain :class:`VcSpaceAccounting` with the downstream
+buffer's capacity and reserves, admitted once per flit sent and released
+once per credit returned.  Because both sides apply the same rules, the
+mirror is always a conservative image of the downstream buffer (it leads
+arrivals and lags pops by one link latency each way).  Wormhole packets
+therefore trickle through minimal free space, and the per-VC private
+reserves needed for deadlock freedom are one or two flits rather than
+whole packets, keeping the shared pool — and thus the queueing depth
 available before head-of-line blocking — large.
+
+Every operation moves exactly one flit: flits, credits and link-level
+ACKs are all flit-granular, so no caller ever needs a batch form.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from collections import deque
 
 from repro.switch.flit import Flit
 
-__all__ = ["Damq", "DamqMirror", "VcSpaceAccounting"]
+__all__ = ["Damq", "VcSpaceAccounting"]
 
 
 class VcSpaceAccounting:
@@ -88,49 +96,42 @@ class VcSpaceAccounting:
         """Flits committed across all VCs (running total, O(1))."""
         return self._total
 
-    def can_admit(self, vc: int, flits: int) -> bool:
-        """True if VC ``vc`` could commit ``flits`` more flits right now."""
-        private_free = self.reserves[vc] - self.committed[vc]
-        if private_free >= flits:
-            return True
-        if private_free > 0:
-            flits -= private_free
-        return flits <= self.shared_capacity - self._shared_used
-
-    def admit(self, vc: int, flits: int) -> None:
-        """Commit ``flits`` flits to VC ``vc`` (reserve first, then pool)."""
-        occ = self.committed[vc]
-        reserve = self.reserves[vc]
-        new_occ = occ + flits
-        over_new = new_occ - reserve
-        over_old = occ - reserve
-        # the shared-pool delta doubles as the admission check (it is
-        # exactly what can_admit() would have required of the pool)
-        shared_need = (over_new if over_new > 0 else 0) - (
-            over_old if over_old > 0 else 0
+    def can_admit(self, vc: int) -> bool:
+        """True if VC ``vc`` could commit one more flit right now: the
+        shared pool has room, or its private reserve does."""
+        return (
+            self._shared_used < self.shared_capacity
+            or self.committed[vc] < self.reserves[vc]
         )
-        if shared_need > self.shared_capacity - self._shared_used:
-            raise RuntimeError(
-                f"admit({vc}, {flits}) without space: occ={occ}, "
-                f"shared={self._shared_used}/{self.shared_capacity}"
-            )
-        self.committed[vc] = new_occ
-        self._shared_used += shared_need
-        total = self._total + flits
+
+    def admit(self, vc: int) -> None:
+        """Commit one flit to VC ``vc`` (reserve first, then pool).
+
+        Raises if there is no room: callers check :meth:`can_admit`
+        first, so an overflow here is a credit-accounting bug upstream."""
+        occ = self.committed[vc]
+        if occ >= self.reserves[vc]:
+            if self._shared_used >= self.shared_capacity:
+                raise RuntimeError(
+                    f"admit({vc}) without space: occ={occ}, "
+                    f"shared={self._shared_used}/{self.shared_capacity}"
+                )
+            self._shared_used += 1
+        self.committed[vc] = occ + 1
+        total = self._total + 1
         self._total = total
         if total > self.peak_committed:
             self.peak_committed = total
 
-    def release(self, vc: int, flits: int = 1) -> None:
-        """Return ``flits`` flits of VC ``vc``'s space to reserve/pool."""
+    def release(self, vc: int) -> None:
+        """Return one flit of VC ``vc``'s space (pool first, then reserve)."""
         occ = self.committed[vc]
-        if flits > occ:
-            raise RuntimeError(f"release({vc}, {flits}) exceeds occupancy {occ}")
-        over = occ - self.reserves[vc]
-        if over > 0:
-            self._shared_used -= over if over < flits else flits
-        self.committed[vc] = occ - flits
-        self._total -= flits
+        if occ < 1:
+            raise RuntimeError(f"release({vc}) with no flit committed")
+        if occ > self.reserves[vc]:
+            self._shared_used -= 1
+        self.committed[vc] = occ - 1
+        self._total -= 1
 
     def occupancy_fraction(self) -> float:
         """Committed occupancy as a fraction of total capacity."""
@@ -140,9 +141,10 @@ class VcSpaceAccounting:
 class Damq:
     """A real DAMQ buffer: per-VC flit FIFOs over shared-pool accounting.
 
-    ``admit_flit`` + ``push`` file one arriving flit (space is guaranteed
-    by the sender's mirror); ``pop`` releases one flit of space, and the
-    caller is responsible for sending the corresponding credit upstream.
+    ``push`` admits and files one arriving flit (space is guaranteed by
+    the sender's credit mirror); ``pop`` releases one flit of space, and
+    the caller is responsible for sending the corresponding credit
+    upstream.
     """
 
     __slots__ = ("space", "queues", "flit_count", "occ_mask")
@@ -167,35 +169,20 @@ class Damq:
         """Total flit capacity of the shared physical memory."""
         return self.space.capacity
 
-    def can_admit(self, vc: int, flits: int = 1) -> bool:
-        """True if ``flits`` arriving flits of VC ``vc`` would fit."""
-        return self.space.can_admit(vc, flits)
-
-    def admit_flit(self, vc: int) -> None:
-        """Account one arriving flit of VC ``vc`` (space must be free)."""
-        self.space.admit(vc, 1)
-
     def push(self, vc: int, flit: Flit) -> None:
-        """File an admitted flit at the tail of its VC FIFO."""
+        """Admit one arriving flit of VC ``vc`` and file it at the tail of
+        its FIFO (raises if the VC has no room)."""
+        self.space.admit(vc)
         self.queues[vc].append(flit)
         self.flit_count += 1
         self.occ_mask |= 1 << vc
-
-    def front(self, vc: int) -> Flit | None:
-        """The head flit of VC ``vc``, or None when its FIFO is empty."""
-        q = self.queues[vc]
-        return q[0] if q else None
 
     def pop(self, vc: int) -> Flit:
         """Remove VC ``vc``'s head flit and release its space.
 
         The caller owes the upstream sender one credit for it."""
-        q = self.queues[vc]
-        flit = q.popleft()
-        if not q:
-            self.occ_mask &= ~(1 << vc)
-        self.flit_count -= 1
-        self.space.release(vc, 1)
+        flit = self.pop_no_release(vc)
+        self.space.release(vc)
         return flit
 
     def pop_no_release(self, vc: int) -> Flit:
@@ -209,10 +196,6 @@ class Damq:
             self.occ_mask &= ~(1 << vc)
         self.flit_count -= 1
         return flit
-
-    def vc_flits(self, vc: int) -> int:
-        """Flits currently queued on VC ``vc``."""
-        return len(self.queues[vc])
 
     @property
     def total_flits(self) -> int:
@@ -237,38 +220,3 @@ class Damq:
     def empty(self) -> bool:
         """True when no flits are queued and no space is committed."""
         return self.total_flits == 0 and self.space.total_committed == 0
-
-
-class DamqMirror:
-    """Upstream credit-side mirror of a downstream :class:`Damq`.
-
-    Debits one flit per flit sent (`debit_flit`), credits one flit per
-    returning credit (`credit`).  Because both sides use the same
-    :class:`VcSpaceAccounting` rules, the mirror is always a conservative
-    image of the downstream buffer (it leads arrivals and lags pops by
-    one link latency each way).
-    """
-
-    __slots__ = ("space",)
-
-    def __init__(
-        self, num_vcs: int, capacity: int, reserve: "int | list[int]"
-    ) -> None:
-        self.space = VcSpaceAccounting(num_vcs, capacity, reserve)
-
-    def can_send_flit(self, vc: int) -> bool:
-        """True if the downstream buffer has credit for one ``vc`` flit."""
-        return self.space.can_admit(vc, 1)
-
-    def debit_flit(self, vc: int) -> None:
-        """Consume one ``vc`` credit for a flit just sent downstream."""
-        self.space.admit(vc, 1)
-
-    def credit(self, vc: int, flits: int = 1) -> None:
-        """Apply ``flits`` returning credits for VC ``vc``."""
-        self.space.release(vc, flits)
-
-    @property
-    def in_flight(self) -> int:
-        """Flits sent but not yet credited back by the downstream buffer."""
-        return self.space.total_committed

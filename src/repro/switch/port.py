@@ -21,7 +21,7 @@ from repro.core.stash import StashJob, StashPartition
 from repro.engine.channel import Channel, CreditChannel
 from repro.obs.events import EventTrace
 from repro.switch.arbiters import RoundRobinArbiter, VcStreamLock
-from repro.switch.damq import Damq, DamqMirror
+from repro.switch.damq import Damq, VcSpaceAccounting
 from repro.switch.flit import Flit, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -141,38 +141,16 @@ class InputPort:
         q = ch._queue
         if not q or q[0][0] > cycle:
             return
-        damq = self.damq
-        space = damq.space
-        committed = space.committed
-        reserves = space.reserves
-        queues = damq.queues
-        mask = damq.occ_mask
+        # push() admits before filing: a flit arriving without space
+        # raises there, which means a credit-accounting bug upstream
+        push = self.damq.push
         n = 0
         while q and q[0][0] <= cycle:
             vc, flit = q.popleft()[1]
             if flit.head:
                 flit.pkt.vc = vc
-            # inline space.admit(vc, 1), keeping its overflow guard (a
-            # violation here means a credit-accounting bug upstream)
-            occ = committed[vc]
-            if occ >= reserves[vc]:
-                if space._shared_used >= space.shared_capacity:
-                    raise RuntimeError(
-                        f"admit({vc}, 1) without space: occ={occ}, "
-                        f"shared={space._shared_used}/"
-                        f"{space.shared_capacity}"
-                    )
-                space._shared_used += 1
-            committed[vc] = occ + 1
-            total = space._total + 1
-            space._total = total
-            if total > space.peak_committed:
-                space.peak_committed = total
-            queues[vc].append(flit)
-            mask |= 1 << vc
+            push(vc, flit)
             n += 1
-        damq.occ_mask = mask
-        damq.flit_count += n
         self.sw.inflight += n
         self.flits_received += n
 
@@ -188,7 +166,6 @@ class InputPort:
                 continue
             if flit.head:
                 flit.pkt.vc = vc
-            self.damq.admit_flit(vc)
             self.damq.push(vc, flit)
             self.sw.inflight += 1
             self.flits_received += 1
@@ -215,26 +192,13 @@ class InputPort:
 
         queues = self.damq.queues
         streams = self.streams
-        row_credits = self.row_credits
-        S_VC = sw.S_VC
         mask = self.damq.occ_mask
         while mask:  # occupied VCs in ascending order
             vc = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             stream = streams[vc]
             if stream is not None:
-                # inline _plan_credits_ok for the continuing stream
-                kind, col, stash_col, _job = stream
-                if kind == _NORMAL:
-                    ok = row_credits[col][vc] >= 1
-                elif kind == _DUP:
-                    ok = (
-                        row_credits[col][vc] >= 1
-                        and row_credits[stash_col][S_VC] >= 1
-                    )
-                else:  # _DIVERT
-                    ok = row_credits[stash_col][S_VC] >= 1
-                if ok:
+                if self._plan_credits_ok(vc, stream):
                     eligible.append(vc)
                     plans[vc] = stream
                 continue
@@ -253,21 +217,7 @@ class InputPort:
 
         if not eligible:
             return
-        # rotating-priority pick over the eligible slots, inlined
-        arb = self.rb_arbiter
-        if len(eligible) == 1:
-            winner = eligible[0]
-        else:
-            pivot = arb._next
-            n_arb = arb.n
-            winner = eligible[0]
-            best = (winner - pivot) % n_arb
-            for cand in eligible[1:]:
-                d = (cand - pivot) % n_arb
-                if d < best:
-                    best = d
-                    winner = cand
-        arb._next = (winner + 1) % arb.n
+        winner = self.rb_arbiter.pick(eligible)
         if winner == total_vcs:
             self._advance_retrieval(cycle)
         else:
@@ -379,21 +329,10 @@ class InputPort:
     ) -> None:
         sw = self.sw
         kind, col, stash_col, job = plan
-        damq = self.damq
-        q = damq.queues[vc]
-        flit = q.popleft()
-        if not q:
-            damq.occ_mask &= ~(1 << vc)
-        damq.flit_count -= 1
-        space = damq.space
-        occ = space.committed[vc]
-        if occ > space.reserves[vc]:
-            space._shared_used -= 1
-        space.committed[vc] = occ - 1
-        space._total -= 1
+        flit = self.damq.pop(vc)
         pkt = flit.pkt
         credit_out = self.credit_out
-        if credit_out is not None:  # inline _return_credit
+        if credit_out is not None:  # the popped flit's space goes upstream
             credit_out.send((vc, 1), cycle)
         self.flits_sent += 1
 
@@ -420,37 +359,24 @@ class InputPort:
             elif kind == _DIVERT:
                 self.s_owner = vc
                 self.packets_diverted += 1
-        # flit-granular credit consumption on every row buffer written
-        if kind in (_NORMAL, _DUP):
-            self.row_credits[col][vc] -= 1
-        if kind in (_DUP, _DIVERT):
-            self.row_credits[stash_col][sw.S_VC] -= 1
         if flit.tail:
             self.streams[vc] = None
-            if kind in (_DUP, _DIVERT) and self.s_owner == vc:
+            if kind != _NORMAL and self.s_owner == vc:
                 self.s_owner = None
 
+        # every row buffer written consumes one flit-granular credit; a
+        # copy is a multi-drop broadcast: the same wire value is latched
+        # by the normal VC buffer and the storage VC buffer
+        # simultaneously, consuming one row-bus slot (Section III-A)
         row_tiles = sw.tiles[self.row]
-        if kind == _NORMAL:
-            # inline tile.receive (vc is never the S VC on this path)
-            tile = row_tiles[col]
-            tile.queues[self.slot][vc].append(flit)
-            tile.occ[self.slot] |= 1 << vc
-            tile.flit_count += 1
-            tile.blocked = False
-        elif kind == _DUP:
-            # multi-drop broadcast: the same wire value is latched by the
-            # normal VC buffer and the storage VC buffer simultaneously,
-            # consuming one row-bus slot (Section III-A)
+        if kind != _DIVERT:
+            self.row_credits[col][vc] -= 1
             row_tiles[col].receive(self.slot, vc, flit, None)
+        if kind != _NORMAL:
+            self.row_credits[stash_col][sw.S_VC] -= 1
             row_tiles[stash_col].receive(self.slot, sw.S_VC, flit, job)
-            sw.inflight += 1  # the duplicate is a second buffered instance
-        else:  # _DIVERT
-            row_tiles[stash_col].receive(self.slot, sw.S_VC, flit, job)
-
-    def _return_credit(self, vc: int, cycle: int) -> None:
-        if self.credit_out is not None:
-            self.credit_out.send_credit(vc, 1, cycle)
+            if kind == _DUP:
+                sw.inflight += 1  # the duplicate is a second buffered instance
 
     # ------------------------------------------------------------------
     # retrieval (R VC) from this port's stash partition
@@ -610,7 +536,9 @@ class OutputPort:
         # the partition write port serves one packet stream at a time
         self.sdrain_stream: int | None = None
         self.out_damq = Damq(sw.total_vcs, normal_capacity, reserve=reserves)
-        self.mirror: DamqMirror | None = None
+        # credit mirror of the downstream input buffer (None on ejection
+        # ports: endpoints always sink)
+        self.mirror: VcSpaceAccounting | None = None
         self.flit_out: Channel | None = None
         self.credit_in: CreditChannel | None = None
         # link-level retransmission: output-buffer space is held for one
@@ -666,13 +594,13 @@ class OutputPort:
         q = ch._queue
         if not q or q[0][0] > cycle:
             return
-        release = mirror.space.release
+        release = mirror.release
         while q and q[0][0] <= cycle:
-            vc, n = q.popleft()[1]
+            vc, msg = q.popleft()[1]
             if vc == -1:
-                self._apply_link_control(n)
+                self._apply_link_control(msg)
             else:
-                release(vc, n)
+                release(vc)  # one flit per credit
         # downstream space (or a link ACK/NACK) arrived: egress may
         # proceed, and an ACK freeing output space may unblock the mux
         self._egress_blocked = False
@@ -683,24 +611,18 @@ class OutputPort:
         assert self.link_tx is not None
         kind, seq = msg
         if kind == "ack":
-            for damq_vc, flits in self.link_tx.on_ack(seq):
-                self.out_damq.space.release(damq_vc, flits)
+            # the cumulative ACK releases one retained flit per entry
+            for damq_vc, _one in self.link_tx.on_ack(seq):
+                self.out_damq.space.release(damq_vc)
         else:
             self.link_tx.on_nack(seq)
 
     def release_retained(self, cycle: int) -> None:
         """Free output-buffer space whose implicit-ack retention expired."""
         pending = self.pending_release
-        space = self.out_damq.space
-        committed = space.committed
-        reserves = space.reserves
+        release = self.out_damq.space.release
         while pending and pending[0][0] <= cycle:
-            _, vc = pending.popleft()
-            occ = committed[vc]
-            if occ > reserves[vc]:
-                space._shared_used -= 1
-            committed[vc] = occ - 1
-            space._total -= 1
+            release(pending.popleft()[1])
         self._mux_blocked = False  # output-buffer space freed
 
     # ------------------------------------------------------------------
@@ -723,14 +645,10 @@ class OutputPort:
         col_occ = self.col_occ
         col_buffers = self.col_buffers
         col_streams = self.col_streams
-        # single-flit admission check, inlined from VcSpaceAccounting:
-        # a VC can take one more flit iff its private reserve has room
-        # or the shared pool does
-        space = self.out_damq.space
-        committed = space.committed
-        reserves = space.reserves
-        shared_free = space._shared_used < space.shared_capacity
-        mux_holders = self.mux_lock._holders
+        has_room = self.out_damq.space.can_admit
+        # (row, vc) column streams compete as keys row * total_vcs + vc,
+        # which are also their stream-lock identities
+        lock_free = self.mux_lock.available_to
         for row in range(self._rows):
             # S flits drain into the partition instead, so mask them out
             mask = col_occ[row] & non_s
@@ -742,47 +660,25 @@ class OutputPort:
             while mask:  # occupied VCs in ascending order
                 vc = (mask & -mask).bit_length() - 1
                 mask &= mask - 1
-                dest = streams[vc]
-                if dest is not None:
-                    if shared_free or committed[dest] < reserves[dest]:
-                        key = base + vc
-                        eligible.append(key)
-                        dests[key] = dest
-                    continue
-                flit = buffers[vc][0]
-                assert flit.head, "stream-less non-head flit at output mux"
-                pkt = flit.pkt
-                # retrieved packets return to their original output VC
-                dest = pkt.final_vc if vc == R_VC else vc
-                holder = mux_holders[dest]
-                if holder is not None and holder != (row, vc):
-                    continue
-                if not (shared_free or committed[dest] < reserves[dest]):
-                    continue
                 key = base + vc
-                eligible.append(key)
-                dests[key] = dest
+                dest = streams[vc]
+                if dest is None:
+                    flit = buffers[vc][0]
+                    assert flit.head, "stream-less non-head flit at output mux"
+                    # retrieved packets return to their original output VC
+                    dest = flit.pkt.final_vc if vc == R_VC else vc
+                    if not lock_free(dest, key):
+                        continue
+                if has_room(dest):
+                    eligible.append(key)
+                    dests[key] = dest
 
         if not eligible:
             # nothing can advance until a new flit, output space, or a
             # holder release arrives; all three clear the latch
             self._mux_blocked = True
             return
-        # rotating-priority pick over (row, vc) keys, inlined
-        arb = self.mux_arbiter
-        if len(eligible) == 1:
-            key = eligible[0]
-        else:
-            pivot = arb._next
-            n_arb = arb.n
-            key = eligible[0]
-            best = (key - pivot) % n_arb
-            for k in eligible[1:]:
-                d = (k - pivot) % n_arb
-                if d < best:
-                    best = d
-                    key = k
-        arb._next = (key + 1) % arb.n
+        key = self.mux_arbiter.pick(eligible)
         row, vc = divmod(key, total_vcs)
         dest = dests[key]
         q = col_buffers[row][vc]
@@ -791,25 +687,12 @@ class OutputPort:
             col_occ[row] &= ~(1 << vc)
         self.col_flits -= 1
         if flit.head:
-            self.mux_lock.acquire(dest, (row, vc))
+            self.mux_lock.acquire(dest, key)
             col_streams[row][vc] = dest
         if flit.tail:
-            self.mux_lock.release(dest, (row, vc))
+            self.mux_lock.release(dest, key)
             col_streams[row][vc] = None
-        out_damq = self.out_damq
-        # inline admit(dest, 1) + push: eligibility was checked above and
-        # nothing has admitted in between (one winner per pass)
-        occ = committed[dest]
-        committed[dest] = occ + 1
-        if occ >= reserves[dest]:
-            space._shared_used += 1
-        total = space._total + 1
-        space._total = total
-        if total > space.peak_committed:
-            space.peak_committed = total
-        out_damq.queues[dest].append(flit)
-        out_damq.flit_count += 1
-        out_damq.occ_mask |= 1 << dest
+        self.out_damq.push(dest, flit)
         self._egress_blocked = False  # new flit for the link
         # column-buffer space freed: credit the tile
         tile = sw.tiles[row][self._col]
@@ -898,49 +781,26 @@ class OutputPort:
         queues = damq.queues
         link_streams = self.link_streams
         mirror = self.mirror
-        # single-flit downstream-credit check, inlined from the mirror's
-        # VcSpaceAccounting (see mux_pass); the scan admits nothing, so
-        # the shared-pool headroom is loop-invariant
-        if mirror is None:
-            m_space = None
-            m_committed = m_reserves = None
-            m_shared_free = True
-        else:
-            m_space = mirror.space
-            m_committed = m_space.committed
-            m_reserves = m_space.reserves
-            m_shared_free = m_space._shared_used < m_space.shared_capacity
-        link_holders = self.link_lock._holders
+        # ejection ports have no mirror: endpoints always sink
+        has_credit = None if mirror is None else mirror.can_admit
+        lock_free = self.link_lock.available_to
         is_end_port = self.is_end_port
         mask = damq.occ_mask
         while mask:  # occupied VCs in ascending order
             vc = (mask & -mask).bit_length() - 1
             mask &= mask - 1
-            stream = link_streams[vc]
-            if stream is not None:
-                if (
-                    m_committed is None
-                    or m_shared_free
-                    or m_committed[stream] < m_reserves[stream]
-                ):
-                    eligible.append(vc)
-                    link_vcs[vc] = stream
-                continue
-            flit = queues[vc][0]
-            assert flit.head, "stream-less non-head flit at link egress"
-            pkt = flit.pkt
-            # ejection links carry the current VC; network links carry the
-            # VC assigned by this switch's route computation
-            link_vc = vc if is_end_port else pkt.next_vc
-            holder = link_holders[link_vc]
-            if holder is not None and holder != vc:
-                continue
-            if m_committed is not None and not (
-                m_shared_free or m_committed[link_vc] < m_reserves[link_vc]
-            ):
-                continue
-            eligible.append(vc)
-            link_vcs[vc] = link_vc
+            link_vc = link_streams[vc]
+            if link_vc is None:
+                flit = queues[vc][0]
+                assert flit.head, "stream-less non-head flit at link egress"
+                # ejection links carry the current VC; network links carry
+                # the VC assigned by this switch's route computation
+                link_vc = vc if is_end_port else flit.pkt.next_vc
+                if not lock_free(link_vc, vc):
+                    continue
+            if has_credit is None or has_credit(link_vc):
+                eligible.append(vc)
+                link_vcs[vc] = link_vc
         if not eligible:
             # flits are queued but none may advance: out of downstream
             # credit (or the shared link VC is stream-locked); latch
@@ -952,40 +812,14 @@ class OutputPort:
                 self.obs.emit(cycle, "credit.stall", sw.switch_id, self.idx,
                               -1, -1, damq.flit_count)
             return
-        # rotating-priority pick over the eligible VCs, inlined
-        arb = self.link_arbiter
-        if len(eligible) == 1:
-            vc = eligible[0]
-        else:
-            pivot = arb._next
-            n_arb = arb.n
-            vc = eligible[0]
-            best = (vc - pivot) % n_arb
-            for cand in eligible[1:]:
-                d = (cand - pivot) % n_arb
-                if d < best:
-                    best = d
-                    vc = cand
-        arb._next = (vc + 1) % arb.n
+        vc = self.link_arbiter.pick(eligible)
         link_vc = link_vcs[vc]
-        # inline damq.pop_no_release (space stays committed until the
-        # link-level acknowledgment round trip completes)
-        q = queues[vc]
-        flit = q.popleft()
-        if not q:
-            damq.occ_mask &= ~(1 << vc)
-        damq.flit_count -= 1
+        # the space stays committed until the link-level acknowledgment
+        # round trip completes
+        flit = damq.pop_no_release(vc)
         pkt = flit.pkt
-        if m_space is not None:
-            # inline mirror.debit_flit(link_vc): eligibility checked above
-            occ = m_committed[link_vc]
-            m_committed[link_vc] = occ + 1
-            if occ >= m_reserves[link_vc]:
-                m_space._shared_used += 1
-            total = m_space._total + 1
-            m_space._total = total
-            if total > m_space.peak_committed:
-                m_space.peak_committed = total
+        if mirror is not None:
+            mirror.admit(link_vc)
         if flit.head:
             self.link_lock.acquire(link_vc, vc)
             link_streams[vc] = link_vc
@@ -998,31 +832,12 @@ class OutputPort:
         if flit.tail:
             self.link_lock.release(link_vc, vc)
             link_streams[vc] = None
-        ch = self.flit_out
         if self.link_tx is not None:
             # retained until the cumulative link-level ACK
-            ch.send(self.link_tx.stage_new(vc, link_vc, flit), cycle)
+            self.flit_out.send(self.link_tx.stage_new(vc, link_vc, flit), cycle)
         else:
             # implicit-ack model: space frees one link round trip later
             self.pending_release.append((cycle + self.retention, vc))
-            # inline ch.send((link_vc, flit), cycle)
-            deliver = cycle + ch.latency
-            chq = ch._queue
-            if chq and deliver < chq[-1][0]:
-                raise ValueError(
-                    f"out-of-order send on {ch.name or 'channel'}: cycle "
-                    f"{cycle} is below the queue tail's "
-                    f"{chq[-1][0] - ch.latency}"
-                )
-            chq.append((deliver, (link_vc, flit)))
-            ws = ch._wake_sim
-            if ws is not None and ws._status[ch._wake_idx] > deliver:
-                ws.wake(ch._wake_idx, deliver)
+            self.flit_out.send((link_vc, flit), cycle)
         sw.inflight -= 1
         self.flits_sent += 1
-
-    # ------------------------------------------------------------------
-
-    def occupancy(self) -> int:
-        """Flits buffered on the output side: DAMQ + column buffers."""
-        return self.out_damq.total_flits + self.col_flits + self.col_flits_s

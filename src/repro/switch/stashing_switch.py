@@ -237,15 +237,3 @@ class StashingSwitch(TiledSwitch):
         if self.obs is not None:
             self.obs.emit(cycle, "stash.retrieve", self.switch_id,
                           msg.dest_port, -1, clone.pid, clone.size)
-
-    # -- introspection ------------------------------------------------------
-
-    def stash_utilization(self) -> float:
-        """Fraction of this switch's stash capacity currently committed."""
-        assert self.stash_dir is not None
-        return self.stash_dir.utilization()
-
-    def stash_capacity_flits(self) -> int:
-        """Total stash capacity pooled across this switch's ports."""
-        assert self.stash_dir is not None
-        return self.stash_dir.total_capacity()

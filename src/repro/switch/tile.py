@@ -102,10 +102,6 @@ class Tile:
             assert job is not None
             self.jobs[slot].append(job)
 
-    def occupancy(self) -> int:
-        """Flits buffered in this tile's row buffers."""
-        return self.flit_count
-
     # ------------------------------------------------------------------
 
     def crossbar_pass(self) -> None:
@@ -158,7 +154,8 @@ class Tile:
                         out = pkt.intended_out_port % num_outputs
                     else:
                         out = pkt.out_port % num_outputs
-                    # inline _head_ok
+                    # a head needs a column-buffer credit and a free
+                    # (or self-held) stream lock on its tile output
                     if col_credits[out][vc] < 1 or not locks[
                         out
                     ].available_to(vc, slot):
@@ -172,8 +169,7 @@ class Tile:
                 self.blocked = True
             return
         # winners advance: pop the row buffer, manage the stream locks,
-        # and latch directly into the output port's column buffer (the
-        # former _advance/receive_column pair, inlined for the hot loop)
+        # and latch into the output port's column buffer
         out_ports = sw.out_ports
         in_ports = sw.in_ports
         jobs = self.jobs
@@ -182,19 +178,7 @@ class Tile:
         in_base = row * self.num_slots
         col_base = col * num_outputs
         n_adv = 0
-        allocator = self.allocator
-        if len(requests) == 1:
-            # lone request: both allocator stages grant it unopposed;
-            # advance the two arbiters exactly as allocate() would have
-            inp_r, vc_r, out_r = requests[0]
-            arb = allocator._out_arbiters[out_r]
-            arb._next = (inp_r * self.num_vcs + vc_r + 1) % arb.n
-            arb = allocator._in_arbiters[inp_r]
-            arb._next = (out_r + 1) % arb.n
-            accepted = requests
-        else:
-            accepted = allocator.allocate(requests)
-        for slot, vc, out in accepted:
+        for slot, vc, out in self.allocator.allocate(requests):
             q = all_queues[slot][vc]
             flit = q.popleft()
             if not q:
@@ -213,14 +197,7 @@ class Tile:
             if flit.tail:
                 locks[out].release(vc, slot)
                 all_streams[slot][vc] = None
-            op.col_buffers[row][vc].append(flit)
-            op.col_occ[row] |= 1 << vc
-            op._mux_blocked = False
-            if vc == S_VC:
-                op.col_jobs[row].append(job)
-                op.col_flits_s += 1
-            else:
-                op.col_flits += 1
+            op.receive_column(row, vc, flit, job)
             # row-buffer space freed: credit the feeding input port
             in_ports[in_base + slot].row_credits[col][vc] += 1
             n_adv += 1

@@ -378,7 +378,7 @@ class TiledSwitch:
         op = self.out_ports[port]
         depth = op.out_damq.total_committed
         if op.mirror is not None:
-            depth += op.mirror.in_flight
+            depth += op.mirror.total_committed
         return depth
 
     # -- stashing hooks (no-ops on the baseline) ---------------------------
@@ -399,17 +399,6 @@ class TiledSwitch:
         raise RuntimeError("baseline switch has no side-band network")
 
     # -- introspection ------------------------------------------------------
-
-    def total_buffered_flits(self) -> int:
-        """Flits buffered anywhere in the switch (inputs, tiles, outputs)."""
-        total = 0
-        for ip in self._active_in:
-            total += ip.damq.total_flits
-        for op in self._active_out:
-            total += op.occupancy()
-        for tile in self._flat_tiles:
-            total += tile.occupancy()
-        return total
 
     @property
     def quiescent(self) -> bool:

@@ -128,11 +128,59 @@ def micro_net() -> Network:
 
 
 def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
-    """Run the network empty and assert full message conservation."""
+    """Run the network empty and assert full message conservation, then
+    credit and buffer-space conservation (:func:`assert_at_rest`)."""
     assert net.drain(max_cycles), "network failed to drain"
     posted = sum(ep.messages_posted for ep in net.endpoints)
     delivered = sum(1 for m in net.messages.values() if m.delivered)
     assert delivered == posted, f"{delivered}/{posted} messages delivered"
+    assert_at_rest(net)
+
+
+def assert_at_rest(net: Network) -> None:
+    """Every VC-space account (input and output DAMQs, switch and
+    endpoint credit mirrors) is empty, every row/column credit counter
+    is back at full depth, and every stream lock is free."""
+    spaces = {f"ep{ep.node}.mirror": ep.mirror for ep in net.endpoints}
+    locks = {}
+    for sw in net.switches:
+        s = sw.switch_id
+        cfg = sw.cfg
+        for ip in sw.in_ports:
+            spaces[f"sw{s}.in{ip.idx}"] = ip.damq.space
+            for col, row in enumerate(ip.row_credits):
+                assert row == [cfg.row_buffer_flits] * sw.total_vcs, (
+                    f"sw{s}.in{ip.idx} row credits to column {col}: {row}"
+                )
+        for op in sw.out_ports:
+            spaces[f"sw{s}.out{op.idx}"] = op.out_damq.space
+            spaces[f"sw{s}.out{op.idx}.mirror"] = op.mirror
+            locks[f"sw{s}.out{op.idx}.mux"] = op.mux_lock
+            locks[f"sw{s}.out{op.idx}.link"] = op.link_lock
+        for tiles in sw.tiles:
+            for tile in tiles:
+                name = f"sw{s}.tile{tile.row},{tile.col}"
+                for out, row in enumerate(tile.col_credits):
+                    assert row == [cfg.col_buffer_flits] * sw.total_vcs, (
+                        f"{name} column credits to output {out}: {row}"
+                    )
+                for out, lock in enumerate(tile.locks):
+                    locks[f"{name}.out{out}"] = lock
+        stranger = object()  # no lock can be held by this source
+        for name, lock in locks.items():
+            held = [
+                vc for vc in range(sw.total_vcs)
+                if not lock.available_to(vc, stranger)
+            ]
+            assert not held, f"{name} stream lock held on VCs {held}"
+        locks.clear()
+    for name, space in spaces.items():
+        if space is None:
+            continue  # ejection ports have no mirror: endpoints sink
+        assert space.committed == [0] * space.num_vcs, (
+            f"{name} committed {space.committed}"
+        )
+        assert space._shared_used == 0, f"{name} shared pool in use"
 
 
 def run_grid(sweep, base, axes, seeds=None, engine="cycle", jobs=1):

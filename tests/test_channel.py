@@ -54,7 +54,7 @@ def test_zero_latency_rejected():
 
 def test_credit_channel_tuples():
     ch = CreditChannel(2)
-    ch.send_credit(vc=3, flits=2, cycle=0)
+    ch.send((3, 2), cycle=0)
     assert list(ch.recv_ready(2)) == [(3, 2)]
 
 
@@ -103,6 +103,6 @@ def test_send_same_cycle_is_in_order():
 
 def test_credit_channel_inherits_monotonic_contract():
     ch = CreditChannel(3)
-    ch.send_credit(vc=1, flits=2, cycle=8)
+    ch.send((1, 2), cycle=8)
     with pytest.raises(ValueError):
-        ch.send_credit(vc=1, flits=2, cycle=5)
+        ch.send((1, 2), cycle=5)

@@ -226,13 +226,16 @@ def test_vc_space_accounting_invariants(reserve, ops):
     acc = VcSpaceAccounting(num_vcs=num_vcs, capacity=capacity,
                             reserve=reserve)
     for vc, flits, is_admit in ops:
-        if is_admit:
-            if acc.can_admit(vc, flits):
-                acc.admit(vc, flits)
-        else:
-            take = min(flits, acc.committed[vc])
-            if take:
-                acc.release(vc, take)
+        # admit or release up to ``flits`` flits, one at a time
+        for _ in range(flits):
+            if is_admit:
+                if not acc.can_admit(vc):
+                    break
+                acc.admit(vc)
+            else:
+                if not acc.committed[vc]:
+                    break
+                acc.release(vc)
         assert 0 <= acc.total_committed <= capacity
         assert all(c >= 0 for c in acc.committed)
         assert 0 <= acc._shared_used <= acc.shared_capacity

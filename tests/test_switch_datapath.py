@@ -55,7 +55,7 @@ class TestCreditConservation:
         net.sim.run(50)  # let trailing credits fly home
         for ep in net.endpoints:
             assert ep.mirror is not None
-            assert ep.mirror.in_flight == 0
+            assert ep.mirror.total_committed == 0
 
     def test_credits_restored_with_stashing(self):
         net = _drained_net(stash=True, reliability=True)
@@ -159,7 +159,8 @@ class TestEcnOccupancySource:
         # fill 60 % of the input DAMQ
         target = int(ip.damq.capacity * 0.6)
         for _ in range(target):
-            ip.damq.space.admit(0, 1)
+            ip.damq.space.admit(0)
         assert ip.congested
-        ip.damq.space.release(0, target)
+        for _ in range(target):
+            ip.damq.space.release(0)
         assert not ip.congested
